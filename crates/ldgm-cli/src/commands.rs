@@ -28,7 +28,7 @@ use ldgm_graph::csr::CsrGraph;
 use ldgm_graph::gen::GraphGen;
 use ldgm_graph::io;
 use ldgm_graph::stats::{degree_cv, stats};
-use ldgm_serve::{MatchService, ServeConfig};
+use ldgm_serve::{resolve_dyn_config, MatchService, ServeConfig};
 
 use crate::args::{ArgError, Args};
 
@@ -171,12 +171,9 @@ OPTIONS:
   --deadline-ms D  flush stragglers after D ms (default 10)
   --max-pending M  per-tenant admission cap (default 256)
   --platform P     simulated platform preset (default dgx-a100)
-  --devices N      simulated devices (default 1)
+  --devices N      simulated devices (default 1); collectives overlap
+                   with compute exactly when N > 1
   --compact-frac F delta-CSR compaction threshold (default 0.25)
-  --overlap        overlap collectives with compute
-  --no-auto-tune   skip the per-dataset config resolver (the tuner probe
-                   that picks the overlap schedule) and serve the flags
-                   as given
   --seed S         weight-synthesis seed for pattern-only inputs
   --addr-file F    also write the bound address to F (for scripts that
                    need the picked port)
@@ -752,8 +749,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         "platform",
         "devices",
         "compact-frac",
-        "overlap",
-        "no-auto-tune",
         "seed",
         "addr-file",
     ])?;
@@ -764,7 +759,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let dyn_cfg = DynConfig::builder(platform)
         .devices(args.get_num("devices", 1usize)?)
         .compact_frac(args.get_num("compact-frac", 0.25f64)?)
-        .overlap(args.has_flag("overlap"))
         .build()
         .map_err(|e| ArgError(e.to_string()))?;
     let serve_cfg = ServeConfig {
@@ -799,14 +793,8 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
             .and_then(|s| s.to_str())
             .unwrap_or(path)
             .to_string();
-        // Default boot path: the tuner resolver picks the per-dataset
-        // overlap schedule; --no-auto-tune serves the flags as given.
-        let svc = if args.has_flag("no-auto-tune") {
-            MatchService::new(name, g, dyn_cfg.clone(), serve_cfg.clone())
-        } else {
-            MatchService::with_tuned_config(name, g, dyn_cfg.clone(), serve_cfg.clone())
-        };
-        services.push(Arc::new(svc));
+        let cfg = resolve_dyn_config(&g, dyn_cfg.clone());
+        services.push(Arc::new(MatchService::new(name, g, cfg, serve_cfg.clone())));
     }
     if services.is_empty() {
         return Err(ArgError("--input named no datasets".into()));
@@ -1337,6 +1325,11 @@ mod tests {
             .0
             .contains("failed to read"));
         assert!(run(&args("serve --input x.mtx --bogus 1")).unwrap_err().0.contains("--bogus"));
+        // The overlap schedule follows --devices; nothing is left to tune.
+        for gone in ["--no-auto-tune", "--overlap"] {
+            let err = run(&args(&format!("serve --input x.mtx {gone}"))).unwrap_err().0;
+            assert!(err.contains(gone), "{gone}: {err}");
+        }
         assert!(run(&args("serve --input x.mtx --io warp")).unwrap_err().0.contains("--io"));
         assert!(run(&args("serve --input x.mtx --max-frame 0"))
             .unwrap_err()

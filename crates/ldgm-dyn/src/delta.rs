@@ -9,6 +9,14 @@
 //! a fresh CSR — so scan overhead stays bounded. Vertex ids are stable
 //! across compaction, which is what lets the engine keep its mate/pointer
 //! arrays alive across the whole update stream.
+//!
+//! The base is held behind an [`Arc`]: whoever built the graph (a service
+//! that must replay from it, a second engine on the same input) shares one
+//! copy with the overlay instead of cloning it. Compaction installs a
+//! fresh `Arc`; the old base lives on only as long as another holder
+//! keeps it.
+
+use std::sync::Arc;
 
 use ldgm_graph::csr::{CsrGraph, VertexId, Weight};
 
@@ -59,7 +67,7 @@ impl EdgeUpdate {
 /// outright.
 #[derive(Clone, Debug)]
 pub struct DynGraph {
-    base: CsrGraph,
+    base: Arc<CsrGraph>,
     delta: Vec<Vec<(VertexId, Option<Weight>)>>,
     /// Total directed overlay entries (the compaction trigger).
     delta_entries: usize,
@@ -77,8 +85,10 @@ const COMPACT_FLOOR: usize = 32;
 
 impl DynGraph {
     /// Wrap a base CSR with an empty overlay. Default compaction threshold
-    /// is 25% of the base's directed edges.
-    pub fn new(base: CsrGraph) -> Self {
+    /// is 25% of the base's directed edges. Pass an `Arc` to share the base
+    /// with other holders; a bare `CsrGraph` is moved in.
+    pub fn new(base: impl Into<Arc<CsrGraph>>) -> Self {
+        let base = base.into();
         let n = base.num_vertices();
         let live_edges = base.num_edges();
         DynGraph {
@@ -244,7 +254,7 @@ impl DynGraph {
 
     /// Merge the overlay into a fresh base CSR and clear the logs.
     pub fn compact(&mut self) {
-        self.base = self.snapshot();
+        self.base = Arc::new(self.snapshot());
         for log in &mut self.delta {
             log.clear();
         }
@@ -410,6 +420,18 @@ mod tests {
         assert_eq!(before.offsets(), after.offsets());
         assert_eq!(before.adjacency(), after.adjacency());
         assert_eq!(before.weight_array(), after.weight_array());
+    }
+
+    #[test]
+    fn shares_its_base_until_compaction() {
+        let base = Arc::new(path3());
+        let mut g = DynGraph::new(Arc::clone(&base));
+        assert_eq!(Arc::strong_count(&base), 2, "the overlay must not copy its base");
+        g.insert_edge(0, 3, 4.0);
+        g.compact();
+        assert_eq!(Arc::strong_count(&base), 1, "compaction installs a fresh base");
+        assert_eq!(base.num_edges(), 3, "the shared original stays untouched");
+        assert_eq!(g.base().num_edges(), 4);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! value), update uploads as H2D copies, and compaction as a CSR reshard —
 //! so the speedup over from-scratch recompute is directly measurable.
 
+use std::sync::Arc;
+
 use ldgm_core::ld_gpu::Scratch;
 use ldgm_core::verify::half_approx_certificate;
 use ldgm_core::{prefer, MatchError, Matching, UNMATCHED};
@@ -257,11 +259,12 @@ pub struct IncrementalLd {
 impl IncrementalLd {
     /// Build the engine over `base`, running the initial full construction
     /// (stabilization with every vertex in the frontier — exactly the
-    /// static LD iteration) and billing it.
-    pub fn new(base: CsrGraph, cfg: DynConfig) -> Self {
-        let n = base.num_vertices();
-        let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
+    /// static LD iteration) and billing it. Pass an `Arc` to share the base
+    /// with the caller ([`DynGraph::new`]).
+    pub fn new(base: impl Into<Arc<CsrGraph>>, cfg: DynConfig) -> Self {
         let g = DynGraph::new(base).with_compact_frac(cfg.compact_frac);
+        let n = g.num_vertices();
+        let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
         // The dynamic output exposes its timeline unconditionally, so the
         // runtime keeps the trace it records anyway.
         let rt = SimRuntime::new(&cfg.platform, ndev).with_trace(true);

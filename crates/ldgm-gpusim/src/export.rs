@@ -16,6 +16,8 @@
 //!
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
+use std::collections::BinaryHeap;
+
 use crate::json::Json;
 use crate::profile::PhaseBreakdown;
 use crate::trace::{EventKind, Trace};
@@ -129,6 +131,9 @@ fn phase_slot(kind: EventKind, label: &str) -> usize {
 /// e.g. waiting on a straggler before a collective) is attributed to
 /// `sync`. The returned breakdown's [`PhaseBreakdown::total`] equals
 /// `sim_time` up to floating-point rounding.
+///
+/// Runs in O(E log E) for E events: one sweep per device over its spans
+/// sorted by start.
 pub fn timeline_breakdown(trace: &Trace, sim_time: f64) -> PhaseBreakdown {
     let ndev = trace.events.iter().map(|e| e.device + 1).max().unwrap_or(0);
     if ndev == 0 || sim_time <= 0.0 {
@@ -151,14 +156,31 @@ pub fn timeline_breakdown(trace: &Trace, sim_time: f64) -> PhaseBreakdown {
         bounds.push(sim_time);
         bounds.sort_by(f64::total_cmp);
         bounds.dedup();
+        // A span is active at an interval's midpoint `mid` when
+        // `start <= mid < end`. Midpoints never decrease, so spans join in
+        // start order and, once ended, never come back: one max-heap of
+        // start-order indices per priority, with ended spans dropped as
+        // they surface, yields the same span a scan of every event would
+        // (the top priority, the last in start order on ties).
+        let mut active: [BinaryHeap<usize>; 4] = Default::default();
+        let mut joined = 0;
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let mid = 0.5 * (lo + hi);
-            let active = dev_events
-                .iter()
-                .filter(|e| e.start <= mid && mid < e.end)
-                .max_by_key(|e| priority(e.kind));
-            let slot = match active {
+            while let Some(e) = dev_events.get(joined).filter(|e| e.start <= mid) {
+                active[priority(e.kind) as usize].push(joined);
+                joined += 1;
+            }
+            let top = active.iter_mut().rev().find_map(|heap| {
+                while let Some(&i) = heap.peek() {
+                    if mid < dev_events[i].end {
+                        return Some(dev_events[i]);
+                    }
+                    heap.pop();
+                }
+                None
+            });
+            let slot = match top {
                 Some(e) => phase_slot(e.kind, &e.label),
                 None => 4, // idle -> sync
             };
@@ -178,6 +200,89 @@ pub fn timeline_breakdown(trace: &Trace, sim_time: f64) -> PhaseBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
+    use proptest::prelude::*;
+
+    /// The quadratic scan [`timeline_breakdown`] replaced: at every
+    /// boundary interval, test every span of the device for activity.
+    fn timeline_breakdown_scan(trace: &Trace, sim_time: f64) -> PhaseBreakdown {
+        let ndev = trace.events.iter().map(|e| e.device + 1).max().unwrap_or(0);
+        if ndev == 0 || sim_time <= 0.0 {
+            return PhaseBreakdown { sync: sim_time.max(0.0), ..Default::default() };
+        }
+        let mut slots = [0.0f64; 5];
+        for d in 0..ndev {
+            let mut dev_events: Vec<_> =
+                trace.events.iter().filter(|e| e.device == d && e.end > e.start).collect();
+            dev_events.sort_by(|a, b| a.start.total_cmp(&b.start));
+            let mut bounds: Vec<f64> = dev_events
+                .iter()
+                .flat_map(|e| [e.start, e.end])
+                .filter(|t| *t > 0.0 && *t < sim_time)
+                .collect();
+            bounds.push(0.0);
+            bounds.push(sim_time);
+            bounds.sort_by(f64::total_cmp);
+            bounds.dedup();
+            for w in bounds.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let mid = 0.5 * (lo + hi);
+                let active = dev_events
+                    .iter()
+                    .filter(|e| e.start <= mid && mid < e.end)
+                    .max_by_key(|e| priority(e.kind));
+                let slot = match active {
+                    Some(e) => phase_slot(e.kind, &e.label),
+                    None => 4,
+                };
+                slots[slot] += hi - lo;
+            }
+        }
+        let n = ndev as f64;
+        PhaseBreakdown {
+            pointing: slots[0] / n,
+            matching: slots[1] / n,
+            allreduce: slots[2] / n,
+            transfer: slots[3] / n,
+            sync: slots[4] / n,
+        }
+    }
+
+    fn bits(b: &PhaseBreakdown) -> [u64; 5] {
+        [b.pointing, b.matching, b.allreduce, b.transfer, b.sync].map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn sweep_matches_the_scan_bit_for_bit(
+            spans in prop::collection::vec(
+                ((0usize..4, 0u8..4, 0u8..2), (0u32..48, 0u32..12, 0u32..4)),
+                0..60,
+            ),
+            horizon in 1u32..60,
+        ) {
+            // Quarter-step grid starts and lengths give equal starts, shared
+            // ends and zero-length spans; the jitter gives unaligned ones.
+            let mut t = Trace::default();
+            for ((device, kind, label), (start, len, jitter)) in spans {
+                let start = start as f64 * 0.25 + jitter as f64 * 1e-3;
+                t.events.push(TraceEvent {
+                    device,
+                    kind: ALL_KINDS[kind as usize],
+                    label: if label == 0 { "point".into() } else { "mates".into() },
+                    start,
+                    end: start + len as f64 * 0.25,
+                });
+            }
+            let sim_time = horizon as f64 * 0.25;
+            prop_assert_eq!(
+                bits(&timeline_breakdown(&t, sim_time)),
+                bits(&timeline_breakdown_scan(&t, sim_time))
+            );
+        }
+    }
 
     fn sample() -> Trace {
         let mut t = Trace::default();

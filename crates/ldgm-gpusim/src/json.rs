@@ -260,9 +260,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a JSON document. Rejects trailing garbage.
+/// Deepest array/object nesting [`parse`] accepts (serde_json's default).
+/// The parser recurses once per level, so without a cap a short line of
+/// `[`s overflows the calling thread's stack, which no `catch_unwind` can
+/// stop.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Rejects trailing garbage and nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -275,6 +282,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -316,8 +325,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -489,6 +505,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (MAX_DEPTH, "nesting too deep"));
+        // Far past the cap, objects and arrays alike fail fast, not by
+        // overflowing the stack.
+        assert!(parse(&"[".repeat(10_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(10_000)).is_err());
+        // Depth is nesting, not count: long flat documents still parse.
+        assert!(parse(&format!("[{}1]", "[],".repeat(10_000))).is_ok());
     }
 
     #[test]

@@ -819,6 +819,24 @@ mod tests {
         }
     }
 
+    #[test]
+    fn deeply_nested_frames_answer_400_and_keep_the_connection() {
+        for io in [IoModel::Reactor, IoModel::Blocking] {
+            let opts = ServerOptions { io, ..ServerOptions::default() };
+            let handle =
+                serve_opts(vec![make_service(60, 200, 5, 1000)], "127.0.0.1:0", opts).unwrap();
+            let mut c = Client::connect(handle.addr);
+            // 10 KB of `[`, far under the frame cap. Parsed without a depth
+            // cap, it would overflow the handling thread's stack and abort
+            // the whole server.
+            let resp = c.send(&"[".repeat(10_000));
+            assert_eq!(resp.get("code").and_then(Json::as_f64), Some(400.0), "{io:?}");
+            let mate = c.send(r#"{"op":"mate","v":1}"#);
+            assert_eq!(mate.get("ok").and_then(Json::as_bool), Some(true), "{io:?}");
+            handle.shutdown();
+        }
+    }
+
     fn write_raw(stream: &mut TcpStream, bytes: &[u8]) {
         stream.write_all(bytes).unwrap();
     }

@@ -25,14 +25,22 @@
 //! *committed* state. A flush holds the engine lock while it applies the
 //! batch, then builds the next snapshot and swaps it in one `RwLock`
 //! write; readers either see the old epoch or the new one, never a
-//! half-applied batch. Lock order is `engine → pending → snap → subs →
-//! tenants`; no path acquires them in any other order.
+//! half-applied batch. The swap happens under the `history` lock, so the
+//! committed history and the published snapshot always describe the same
+//! epoch. Lock order is `engine → pending → history → snap → subs →
+//! stats`; no path acquires them in any other order.
+//!
+//! ## Boot
+//!
+//! A service boots in one engine build: [`resolve_dyn_config`] derives the
+//! one schedule knob it sets, `overlap`, from the device count, and the
+//! base graph is held once behind an [`Arc`] that the engine and the
+//! shutdown replay engine share.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ldgm_core::ld_gpu::{auto_tune_with, LdGpuConfig, TuneOptions};
 use ldgm_dyn::{DynConfig, EdgeUpdate, IncrementalLd};
 use ldgm_gpusim::json::Json;
 use ldgm_gpusim::metrics::names;
@@ -185,6 +193,15 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// Apply `f` to `tenant`'s accounting, allocating its key only the
+    /// first time the tenant is seen.
+    fn with_tenant(&mut self, tenant: &str, f: impl FnOnce(&mut TenantStats)) {
+        match self.tenants.get_mut(tenant) {
+            Some(t) => f(t),
+            None => f(self.tenants.entry(tenant.to_string()).or_default()),
+        }
+    }
+
     /// Mean committed batch size (0 when nothing flushed).
     pub fn mean_batch(&self) -> f64 {
         if self.batch_sizes.is_empty() {
@@ -220,7 +237,8 @@ struct Subscription {
 }
 
 struct Pending {
-    queue: Vec<(String, EdgeUpdate)>,
+    queue: Vec<EdgeUpdate>,
+    /// Queued updates per tenant; a flush takes it as the batch's owners.
     per_tenant: BTreeMap<String, usize>,
     oldest: Option<Instant>,
 }
@@ -230,7 +248,9 @@ struct Pending {
 /// threads behind an [`Arc`].
 pub struct MatchService {
     name: String,
-    base: CsrGraph,
+    /// The boot graph, shared with the engine until its first compaction
+    /// and with every replay engine: the replay origin.
+    base: Arc<CsrGraph>,
     dyn_cfg: DynConfig,
     cfg: ServeConfig,
     engine: Mutex<IncrementalLd>,
@@ -239,7 +259,7 @@ pub struct MatchService {
     subs: Mutex<Vec<Subscription>>,
     stats: Mutex<ServiceStats>,
     /// Every update committed so far, in commit order, for the offline
-    /// replay check.
+    /// replay check. Extended under the same lock hold that swaps `snap`.
     history: Mutex<Vec<EdgeUpdate>>,
 }
 
@@ -265,33 +285,22 @@ fn copy_gauges(engine: &IncrementalLd) -> Vec<(String, f64)> {
     out
 }
 
-/// The default config resolver for serving: probe the static LD-GPU
-/// auto-tuner grid ([`ldgm_core::ld_gpu::auto_tune_with`]) on the
-/// dataset and adopt the locked communication-overlap setting — the
-/// schedule knob the incremental engine shares with the static driver.
-/// Platform, devices and compaction stay exactly as configured; the
-/// matching is bit-identical either way (overlap is billing-only). Falls
-/// back to `base` untouched when the probe cannot run (e.g. the dataset
-/// overflows the platform's device memory).
-pub fn resolve_dyn_config(g: &CsrGraph, base: DynConfig) -> DynConfig {
-    let probe = LdGpuConfig::new(base.platform.clone()).devices(base.devices);
-    // Serving only consumes the overlap verdict, so a minimal grid
-    // (auto batch plan, top-1 shortlist, 2-iteration probes) suffices.
-    let opts = TuneOptions {
-        probe_iterations: 2,
-        batch_counts: vec![None],
-        stream_windows: vec![None],
-        shortlist: 1,
-    };
-    match auto_tune_with(g, &probe, &opts) {
-        Ok(report) => DynConfig { overlap: report.config.overlap, ..base },
-        Err(_) => base,
-    }
+/// The serving config rule: overlap the engine's collectives with compute
+/// exactly when more than one device shares them.
+///
+/// At one device there is no peer to wait for, and both settings bill
+/// identically. At two or more, chunked collectives never bill more than
+/// bulk ones; `ldgm-bench`'s `overlap_registry` test checks this on every
+/// stand-in. Platform, devices and compaction stay as configured, and the
+/// matching is bit-identical either way (overlap is billing-only). The
+/// graph is not consulted; the parameter keeps existing callers compiling.
+pub fn resolve_dyn_config(_g: &CsrGraph, base: DynConfig) -> DynConfig {
+    DynConfig { overlap: base.devices > 1, ..base }
 }
 
 impl MatchService {
-    /// [`MatchService::new`] with the tuner-resolved configuration
-    /// ([`resolve_dyn_config`]) — the default boot path of `ldgm serve`.
+    /// [`MatchService::new`] with the device-count rule applied
+    /// ([`resolve_dyn_config`]) — the boot path of `ldgm serve`.
     pub fn with_tuned_config(
         name: impl Into<String>,
         base: CsrGraph,
@@ -302,15 +311,17 @@ impl MatchService {
         Self::new(name, base, dyn_cfg, cfg)
     }
 
-    /// Load `base` under `name`: runs the static seeding build (the
-    /// engine's initial full stabilization) and commits epoch 0.
+    /// Load `base` under `name` with `dyn_cfg` as given: runs the static
+    /// seeding build (the engine's initial full stabilization) and commits
+    /// epoch 0. The engine shares `base` rather than copying it.
     pub fn new(
         name: impl Into<String>,
         base: CsrGraph,
         dyn_cfg: DynConfig,
         cfg: ServeConfig,
     ) -> Self {
-        let engine = IncrementalLd::new(base.clone(), dyn_cfg.clone());
+        let base = Arc::new(base);
+        let engine = IncrementalLd::new(Arc::clone(&base), dyn_cfg.clone());
         let snap = Arc::new(Snapshot {
             mate: engine.mate_array().to_vec(),
             weight: engine.matched_weight(),
@@ -356,7 +367,7 @@ impl MatchService {
     /// Point query: `v`'s committed mate, billed to `tenant`.
     pub fn mate(&self, tenant: &str, v: VertexId) -> (Option<VertexId>, Arc<Snapshot>) {
         let snap = self.snapshot();
-        self.stats.lock().tenants.entry(tenant.to_string()).or_default().queries += 1;
+        self.stats.lock().with_tenant(tenant, |t| t.queries += 1);
         (snap.mate(v), snap)
     }
 
@@ -371,7 +382,7 @@ impl MatchService {
         if n == 0 {
             return;
         }
-        self.stats.lock().tenants.entry(tenant.to_string()).or_default().queries += n;
+        self.stats.lock().with_tenant(tenant, |t| t.queries += n);
     }
 
     /// Updates currently admitted but not yet flushed.
@@ -396,9 +407,7 @@ impl MatchService {
             let mine = p.per_tenant.get(tenant).copied().unwrap_or(0);
             if mine + updates.len() > self.cfg.max_pending_per_tenant {
                 drop(p);
-                let mut stats = self.stats.lock();
-                stats.tenants.entry(tenant.to_string()).or_default().rejected +=
-                    updates.len() as u64;
+                self.stats.lock().with_tenant(tenant, |t| t.rejected += updates.len() as u64);
                 return Err(AdmissionError {
                     tenant: tenant.to_string(),
                     pending: mine,
@@ -408,14 +417,16 @@ impl MatchService {
             if p.queue.is_empty() {
                 p.oldest = Some(Instant::now());
             }
-            for &u in updates {
-                p.queue.push((tenant.to_string(), u));
+            p.queue.extend_from_slice(updates);
+            match p.per_tenant.get_mut(tenant) {
+                Some(n) => *n += updates.len(),
+                None => {
+                    p.per_tenant.insert(tenant.to_string(), updates.len());
+                }
             }
-            *p.per_tenant.entry(tenant.to_string()).or_insert(0) += updates.len();
             should_flush = p.queue.len() >= self.cfg.coalesce_target;
         }
-        self.stats.lock().tenants.entry(tenant.to_string()).or_default().submitted +=
-            updates.len() as u64;
+        self.stats.lock().with_tenant(tenant, |t| t.submitted += updates.len() as u64);
         let flushed = if should_flush { self.flush_with(false).is_some() } else { false };
         Ok(SubmitAck {
             admitted: updates.len(),
@@ -458,15 +469,7 @@ impl MatchService {
                 return None;
             }
             p.oldest = None;
-            p.per_tenant.clear();
-            let drained = std::mem::take(&mut p.queue);
-            let mut owners: BTreeMap<String, u64> = BTreeMap::new();
-            let mut batch = Vec::with_capacity(drained.len());
-            for (tenant, u) in drained {
-                *owners.entry(tenant).or_insert(0) += 1;
-                batch.push(u);
-            }
-            (batch, owners)
+            (std::mem::take(&mut p.queue), std::mem::take(&mut p.per_tenant))
         };
 
         let old = self.snapshot();
@@ -479,8 +482,11 @@ impl MatchService {
             sim_time: engine.horizon(),
             gauges: copy_gauges(&engine),
         });
-        *self.snap.write() = next.clone();
-        self.history.lock().extend_from_slice(&batch);
+        {
+            let mut history = self.history.lock();
+            history.extend_from_slice(&batch);
+            *self.snap.write() = next.clone();
+        }
         drop(engine);
 
         // Notify subscribers whose watched vertex changed mates.
@@ -536,21 +542,17 @@ impl MatchService {
         self.stats.lock().clone()
     }
 
-    /// The offline replay check: rebuild a fresh engine from the original
-    /// base graph, apply the full committed history as one batch, and
-    /// compare mate arrays bit-for-bit. Canonical uniqueness says they
-    /// must agree no matter how the live traffic was coalesced.
+    /// The offline replay check: build a fresh engine on the original base
+    /// graph (shared, not copied), apply the full committed history as one
+    /// batch, and compare mate arrays bit-for-bit. Canonical uniqueness
+    /// says they must agree no matter how the live traffic was coalesced.
     pub fn replay_check(&self) -> Result<(), String> {
-        let history = self.history.lock().clone();
-        // Flush anything still pending so the comparison covers it.
-        // (flush() appends to history; re-read after.)
+        // Flush anything still pending so the comparison covers it, then
+        // hold the history: no flush can commit past the snapshot read
+        // below until the comparison is done.
         self.flush();
-        let history = if history.len() == self.history.lock().len() {
-            history
-        } else {
-            self.history.lock().clone()
-        };
-        let mut offline = IncrementalLd::new(self.base.clone(), self.dyn_cfg.clone());
+        let history = self.history.lock();
+        let mut offline = IncrementalLd::new(Arc::clone(&self.base), self.dyn_cfg.clone());
         if !history.is_empty() {
             offline.apply_batch(&history);
         }
@@ -640,17 +642,40 @@ mod tests {
     }
 
     #[test]
-    fn boots_with_tuner_resolved_config() {
+    fn boots_with_the_device_count_rule() {
         let g = urand(120, 480, 5);
-        let resolved = resolve_dyn_config(&g, cfg());
-        assert_eq!(resolved.devices, cfg().devices, "tuning only moves schedule knobs");
+        for devices in [1, 2, 4] {
+            for given in [false, true] {
+                let base = DynConfig::builder(Platform::dgx_a100())
+                    .devices(devices)
+                    .overlap(given)
+                    .build()
+                    .unwrap();
+                let resolved = resolve_dyn_config(&g, base.clone());
+                assert_eq!(resolved.overlap, devices > 1, "{devices} devices, {given} given");
+                assert_eq!(resolved.devices, base.devices, "the rule moves overlap only");
+                assert_eq!(resolved.compact_frac, base.compact_frac);
+            }
+        }
+        // The tuned boot is exactly `new` under the rule's config, and the
+        // rule only moves billing: the seeded matching is the plain one.
         let tuned =
             MatchService::with_tuned_config("tuned", g.clone(), cfg(), ServeConfig::default());
+        let ruled =
+            MatchService::new("ruled", g.clone(), cfg().with_overlap(true), ServeConfig::default());
         let plain = MatchService::new("plain", g, cfg(), ServeConfig::default());
-        // The resolver only moves billing/schedule knobs, so the seeded
-        // matching is bit-identical to the untuned boot.
+        assert_eq!(tuned.snapshot().sim_time, ruled.snapshot().sim_time);
         assert_eq!(tuned.snapshot().mate, plain.snapshot().mate);
         assert!(tuned.snapshot().sim_time > 0.0);
+    }
+
+    #[test]
+    fn engine_and_replay_share_one_base() {
+        let s = svc(1000);
+        assert_eq!(Arc::strong_count(&s.base), 2, "service and engine hold one copy");
+        s.submit("a", &[EdgeUpdate::Insert { u: 0, v: 60, w: 7.0 }]).unwrap();
+        s.replay_check().unwrap();
+        assert_eq!(Arc::strong_count(&s.base), 2, "the replay engine is dropped");
     }
 
     #[test]
