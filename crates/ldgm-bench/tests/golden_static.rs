@@ -1,0 +1,202 @@
+//! Golden corpus of the static LD-GPU driver: one digest line per run,
+//! compared against the committed `golden_static.digest`.
+//!
+//! On six stand-ins with both long and short adjacency lists, the sixteen
+//! `sorted_index × frontier × sparse_collectives × overlap` combinations
+//! run at 1 and 4 scaled DGX-A100 devices and at 4 devices on a two-node
+//! cluster (topology-aware placement), plus one out-of-core streaming run
+//! per stand-in, all with the trace on. A line records the simulated
+//! time's bits, the iteration count and FNV-1a hashes of the mate array,
+//! the phase breakdown, `metrics.to_json()` and the Chrome trace, so a
+//! refactor of the driver, the kernels or the billing that changes any
+//! observable output fails here.
+//!
+//! After an intended change of behaviour, rewrite the file with
+//! `LDGM_BLESS=1 cargo test -p ldgm-bench --test golden_static` and
+//! review its diff.
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+use ldgm_bench::datasets::{by_name, scaled_platform};
+use ldgm_core::ld_gpu::{LdGpu, LdGpuConfig, LdGpuOutput};
+use ldgm_gpusim::{chrome_trace_json, Link, Platform};
+use ldgm_graph::CsrGraph;
+use ldgm_part::{batch, memory, plan_substreams, Partition};
+
+/// The stand-ins: hub-heavy social lists (com-Orkut), long lists
+/// (mycielskian18, the Queen_4147 and HV15R lattices, dense mouse_gene
+/// blocks) and short chains (kmer_V2a).
+const STAND_INS: [&str; 6] =
+    ["com-Orkut", "mycielskian18", "Queen_4147", "HV15R", "mouse_gene", "kmer_V2a"];
+/// Devices of the streaming run.
+const STREAM_DEVICES: usize = 2;
+/// Resident window of the streaming run, in bands.
+const STREAM_WINDOW: usize = 4;
+
+/// Where a run executes.
+#[derive(Clone, Copy)]
+enum Setup {
+    /// Scaled DGX-A100 at `devices`.
+    Flat(usize),
+    /// Four devices on a two-node cluster of scaled DGX-A100s (two GPUs
+    /// per node), topology-aware placement on.
+    Cluster,
+    /// Out-of-core streaming with the `ld-gpu-opt` layers and overlap on,
+    /// at a budget below the single-batch footprint.
+    Stream,
+}
+
+/// One run of the corpus: a stand-in, a setup and the four toggles
+/// (bit 0 sorted index, 1 frontier, 2 sparse collectives, 3 overlap).
+#[derive(Clone, Copy)]
+struct Job {
+    graph: usize,
+    setup: Setup,
+    toggles: u8,
+}
+
+/// The corpus in file order.
+fn jobs() -> Vec<Job> {
+    let mut out = Vec::new();
+    for graph in 0..STAND_INS.len() {
+        for setup in [Setup::Flat(1), Setup::Flat(4), Setup::Cluster] {
+            out.extend((0..16).map(|toggles| Job { graph, setup, toggles }));
+        }
+        out.push(Job { graph, setup: Setup::Stream, toggles: 0b1111 });
+    }
+    out
+}
+
+/// 64-bit FNV-1a.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The streaming budget: 40% of the single-batch footprint, raised to
+/// the planner's minimum for the window where a partition needs more.
+fn stream_budget(g: &CsrGraph) -> u64 {
+    let parts = Partition::edge_balanced(g, STREAM_DEVICES).parts;
+    let footprint = parts
+        .iter()
+        .map(|p| memory::device_footprint_bytes(&batch::make_batches(g, p, 1), g.num_vertices()))
+        .max()
+        .unwrap_or(0);
+    let mut budget = (footprint * 2 / 5).max(1);
+    for p in &parts {
+        if let Err(e) = plan_substreams(g, p, g.num_vertices(), budget, STREAM_WINDOW) {
+            budget = budget.max(e.required);
+        }
+    }
+    budget
+}
+
+/// The configuration of one job.
+fn config(job: Job, g: &CsrGraph) -> LdGpuConfig {
+    let a100 = scaled_platform(Platform::dgx_a100());
+    let b = match job.setup {
+        Setup::Flat(devices) => LdGpuConfig::builder(a100).devices(devices),
+        Setup::Cluster => {
+            let two_nodes = Platform::dgx_a100().clustered(2, 2, Link::INFINIBAND_HDR);
+            LdGpuConfig::builder(scaled_platform(two_nodes)).devices(4).topology_placement(true)
+        }
+        Setup::Stream => LdGpuConfig::builder(a100)
+            .devices(STREAM_DEVICES)
+            .streaming(true)
+            .mem_budget(stream_budget(g))
+            .stream_window(STREAM_WINDOW),
+    };
+    b.sorted_index(job.toggles & 1 != 0)
+        .frontier(job.toggles & 2 != 0)
+        .sparse_collectives(job.toggles & 4 != 0)
+        .overlap(job.toggles & 8 != 0)
+        .trace(true)
+        .build()
+        .expect("corpus configs are valid")
+}
+
+/// The digest line of one finished run.
+fn line(job: Job, out: &LdGpuOutput) -> String {
+    let setup = match job.setup {
+        Setup::Flat(d) => format!("dgx-a100 x{d}"),
+        Setup::Cluster => "2-node x4".to_string(),
+        Setup::Stream => format!("stream x{STREAM_DEVICES}"),
+    };
+    let names = ["sorted", "frontier", "sparse", "overlap"];
+    let on: Vec<&str> = (0..4).filter(|b| job.toggles >> b & 1 != 0).map(|b| names[b]).collect();
+    let toggles = if on.is_empty() { "none".to_string() } else { on.join("+") };
+    let mates: Vec<u8> = out.matching.mate_array().iter().flat_map(|m| m.to_le_bytes()).collect();
+    let p = &out.profile.phases;
+    let phases: Vec<u8> = [p.pointing, p.matching, p.allreduce, p.transfer, p.sync]
+        .iter()
+        .flat_map(|t| t.to_bits().to_le_bytes())
+        .collect();
+    let trace = out.trace.as_ref().expect("corpus runs record a trace");
+    format!(
+        "{} {setup} {toggles} sim={:016x} iters={} batches={} mates={:016x} phases={:016x} \
+         metrics={:016x} trace={:016x}",
+        STAND_INS[job.graph],
+        out.sim_time.to_bits(),
+        out.iterations,
+        out.batches,
+        fnv(&mates),
+        fnv(&phases),
+        fnv(out.metrics.to_json().to_string_compact().as_bytes()),
+        fnv(chrome_trace_json(trace).to_string_compact().as_bytes()),
+    )
+}
+
+/// Run `f` over `0..n` on two worker threads, results in index order.
+fn on_two_threads<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let v = f(i);
+                slots.lock().unwrap()[i] = Some(v);
+            });
+        }
+    });
+    slots.into_inner().unwrap().into_iter().map(|v| v.expect("every slot filled")).collect()
+}
+
+#[test]
+fn static_driver_matches_the_golden_corpus() {
+    let graphs =
+        on_two_threads(STAND_INS.len(), |i| by_name(STAND_INS[i]).expect("registry name").build());
+    let jobs = jobs();
+    let lines = on_two_threads(jobs.len(), |i| {
+        let job = jobs[i];
+        let g = &graphs[job.graph];
+        let out = LdGpu::new(config(job, g)).try_run(g).expect("corpus runs are feasible");
+        line(job, &out)
+    });
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_static.digest");
+    let fresh = lines.join("\n") + "\n";
+    if std::env::var_os("LDGM_BLESS").is_some() {
+        std::fs::write(&path, &fresh).expect("write the digest");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("read the committed digest");
+    let want: Vec<&str> = golden.lines().collect();
+    let diffs: Vec<String> = lines
+        .iter()
+        .zip(&want)
+        .filter(|(got, want)| got != want)
+        .map(|(got, want)| format!("  want {want}\n   got {got}"))
+        .collect();
+    assert!(
+        diffs.is_empty() && want.len() == lines.len(),
+        "{} of {} runs differ from the corpus ({} lines committed):\n{}",
+        diffs.len(),
+        lines.len(),
+        want.len(),
+        diffs.join("\n")
+    );
+}
