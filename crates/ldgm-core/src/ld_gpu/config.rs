@@ -31,10 +31,13 @@ pub struct LdGpuConfig {
     /// Record a full event [`ldgm_gpusim::Trace`] (copies, kernels,
     /// collectives, syncs) for Gantt inspection. Off by default.
     pub collect_trace: bool,
-    /// Optimized mode: scan neighbors through a preference-sorted
-    /// adjacency index ([`ldgm_graph::SortedAdjacency`], built once per
-    /// run) so SETPOINTERS early-exits at the first available neighbor.
-    /// Off by default (the plain-`ld-gpu` paper-faithful full scan).
+    /// Optimized mode: bill SETPOINTERS as scanning each list in
+    /// preference order (weight desc, id asc) and stopping at the wave
+    /// that holds the first available neighbor, the argmax. The kernel
+    /// finds that wave on the CSR lanes by counting the keys above the
+    /// argmax ([`Scan::Ranked`](super::Scan::Ranked)); no sorted index is
+    /// built. Off by default (the plain-`ld-gpu` paper-faithful full
+    /// scan).
     pub sorted_index: bool,
     /// Optimized mode: after the first iteration, launch SETPOINTERS only
     /// over the cross-iteration frontier — vertices whose pointer target

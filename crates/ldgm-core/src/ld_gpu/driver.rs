@@ -19,11 +19,15 @@
 //! toggleable and each leaving the matching bit-identical to the default
 //! path:
 //!
-//! * **sorted index** — neighbors are scanned through a
-//!   [`SortedAdjacency`] (weight desc, id asc: the canonical [`prefer`]
-//!   order, so the first available neighbor is the full scan's argmax) and
-//!   the warp stops at the wave containing the hit. The one-time build is
-//!   preprocessing, excluded from timings like the initial partition
+//! * **sorted index** — SETPOINTERS is billed as scanning each list in
+//!   (weight desc, id asc) order, the canonical [`prefer`] order, where
+//!   the first available neighbor is the full scan's argmax, and stopping
+//!   at the wave containing it. The host needs no sorted copy for that:
+//!   the kernel takes the argmax on the CSR lanes and counts the keys
+//!   above it, which is the argmax's position in that order
+//!   ([`Scan::Ranked`]). Only the streaming engine, whose rank bands are
+//!   slices of the sorted order, builds a [`SortedAdjacency`]; that build
+//!   is preprocessing, excluded from timings like the initial partition
 //!   transfer (paper convention).
 //! * **cross-iteration frontier** — after SETMATES, the only vertices
 //!   whose pointers went stale are those whose target was just matched
@@ -69,8 +73,8 @@ use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, Vertex
 
 use super::config::{LdGpuConfig, LdGpuError};
 use super::kernels::{
-    set_mates, set_pointers_band, set_pointers_batch, set_pointers_opt, PointingResult,
-    PointingWork,
+    set_mates, set_pointers_band, set_pointers_batch, set_pointers_scan, PointingResult,
+    PointingWork, Scan,
 };
 use super::scratch::Scratch;
 use crate::matching::Matching;
@@ -374,14 +378,15 @@ impl LdGpu {
             partition.parts.iter().map(|p| batch::make_batches(g, p, nbatches)).collect()
         };
 
-        // Optimized-mode state. The sorted index is preprocessing (built
-        // once per run, excluded from timings like the initial partition
-        // transfer); the scratch arena's `frontiers` hold per-device
-        // worklists once the first full iteration has run. Streaming
-        // requires the sorted order — bands are rank bands over it.
+        // Optimized-mode state. The sorted-index mode ranks each argmax
+        // on the CSR lanes; only streaming builds the sorted index (its
+        // bands are rank bands over it), as preprocessing excluded from
+        // timings like the initial partition transfer. The scratch
+        // arena's `frontiers` hold per-device worklists once the first
+        // full iteration has run.
         let optimized = cfg.is_optimized();
-        let sorted =
-            if cfg.sorted_index || cfg.streaming { Some(SortedAdjacency::build(g)) } else { None };
+        let scan = if cfg.sorted_index { Scan::Ranked } else { Scan::Full };
+        let sorted = cfg.streaming.then(|| SortedAdjacency::build(g));
         let sorted_ref = sorted.as_ref();
         let mut have_frontiers = false;
 
@@ -570,9 +575,9 @@ impl LdGpu {
                                     ),
                                     None => (PointingWork::Full, vpw),
                                 };
-                                set_pointers_opt(
+                                set_pointers_scan(
                                     g,
-                                    sorted_ref,
+                                    scan,
                                     brange,
                                     pw,
                                     avail_ref,

@@ -21,6 +21,9 @@ pub mod tune;
 
 pub use config::{LdGpuConfig, LdGpuConfigBuilder, LdGpuError};
 pub use driver::{LdGpu, LdGpuOutput};
-pub use kernels::{set_mates, set_pointers_batch, set_pointers_opt, PointingResult, PointingWork};
+pub use kernels::{
+    set_mates, set_pointers_batch, set_pointers_opt, set_pointers_scan, PointingResult,
+    PointingWork, Scan,
+};
 pub use scratch::Scratch;
 pub use tune::{auto_tune, auto_tune_with, TuneOptions, TuneReport};

@@ -68,6 +68,16 @@ pub fn scan_best(ids: &[VertexId], ws: &[Weight], avail: &[u8]) -> u128 {
     best
 }
 
+/// Number of entries whose packed key is above `k`: the position of key
+/// `k` in the list's preference order (weight desc, id asc), since a list
+/// holds each neighbor once. With `k` the available argmax of
+/// [`scan_best`], this is where a preference-sorted scan would find it.
+#[inline]
+pub fn rank_of(ids: &[VertexId], ws: &[Weight], k: u128) -> usize {
+    debug_assert_eq!(ids.len(), ws.len());
+    ids.iter().zip(ws).filter(|&(&v, &w)| pack_key(w, v) > k).count()
+}
+
 /// Position of the first available id in a preference-sorted lane slice
 /// (the argmax, when `ids` is in (weight desc, id asc) order).
 #[inline]
@@ -148,6 +158,18 @@ mod tests {
         avail[7] = 1;
         avail[1] = 1;
         assert_eq!(first_available(&ids, &avail), Some(2));
+    }
+
+    #[test]
+    fn rank_of_is_the_sorted_position() {
+        // Preference order: (5.0, 3), (5.0, 8), (2.0, 1), (1.0, 9).
+        let ids = [8, 1, 9, 3];
+        let ws = [5.0, 2.0, 1.0, 5.0];
+        assert_eq!(rank_of(&ids, &ws, pack_key(5.0, 3)), 0);
+        assert_eq!(rank_of(&ids, &ws, pack_key(5.0, 8)), 1, "weight ties rank by id");
+        assert_eq!(rank_of(&ids, &ws, pack_key(2.0, 1)), 2);
+        assert_eq!(rank_of(&ids, &ws, pack_key(1.0, 9)), 3);
+        assert_eq!(rank_of(&[], &[], pack_key(1.0, 0)), 0);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! neighbor in a scan is exactly the argmax a full scan would select, so
 //! pointing kernels can stop at the first hit instead of sweeping the
 //! whole list. The index shares the base graph's offset array (same list
-//! extents, different element order) and is built once per run.
+//! extents, different element order). The out-of-core streaming engine
+//! builds it once per run, since its rank bands are slices of it; the
+//! resident kernels count positions in the same order on the CSR lanes
+//! instead ([`crate::soa::rank_of`]).
 
 use rayon::prelude::*;
 
