@@ -15,10 +15,9 @@
 //! `LDGM_BLESS=1 cargo test -p ldgm-bench --test golden_static` and
 //! review its diff.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+mod common;
 
+use common::{check_digest, fnv, on_two_threads};
 use ldgm_bench::datasets::{by_name, scaled_platform};
 use ldgm_core::ld_gpu::{LdGpu, LdGpuConfig, LdGpuOutput};
 use ldgm_gpusim::{chrome_trace_json, Link, Platform};
@@ -67,11 +66,6 @@ fn jobs() -> Vec<Job> {
         out.push(Job { graph, setup: Setup::Stream, toggles: 0b1111 });
     }
     out
-}
-
-/// 64-bit FNV-1a.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
 }
 
 /// The streaming budget: 40% of the single-batch footprint, raised to
@@ -147,25 +141,6 @@ fn line(job: Job, out: &LdGpuOutput) -> String {
     )
 }
 
-/// Run `f` over `0..n` on two worker threads, results in index order.
-fn on_two_threads<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                slots.lock().unwrap()[i] = Some(v);
-            });
-        }
-    });
-    slots.into_inner().unwrap().into_iter().map(|v| v.expect("every slot filled")).collect()
-}
-
 #[test]
 fn static_driver_matches_the_golden_corpus() {
     let graphs =
@@ -177,26 +152,5 @@ fn static_driver_matches_the_golden_corpus() {
         let out = LdGpu::new(config(job, g)).try_run(g).expect("corpus runs are feasible");
         line(job, &out)
     });
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_static.digest");
-    let fresh = lines.join("\n") + "\n";
-    if std::env::var_os("LDGM_BLESS").is_some() {
-        std::fs::write(&path, &fresh).expect("write the digest");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("read the committed digest");
-    let want: Vec<&str> = golden.lines().collect();
-    let diffs: Vec<String> = lines
-        .iter()
-        .zip(&want)
-        .filter(|(got, want)| got != want)
-        .map(|(got, want)| format!("  want {want}\n   got {got}"))
-        .collect();
-    assert!(
-        diffs.is_empty() && want.len() == lines.len(),
-        "{} of {} runs differ from the corpus ({} lines committed):\n{}",
-        diffs.len(),
-        lines.len(),
-        want.len(),
-        diffs.join("\n")
-    );
+    check_digest("golden_static.digest", &lines);
 }
