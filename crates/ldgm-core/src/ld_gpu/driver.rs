@@ -73,8 +73,7 @@ use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, Vertex
 
 use super::config::{LdGpuConfig, LdGpuError};
 use super::kernels::{
-    set_mates, set_pointers_band, set_pointers_batch, set_pointers_scan, PointingResult,
-    PointingWork, Scan,
+    set_mates, set_pointers_band, set_pointers_scan, PointingResult, PointingWork, Scan,
 };
 use super::scratch::Scratch;
 use crate::matching::Matching;
@@ -559,44 +558,32 @@ impl LdGpu {
                             // sub-slice of this device's pointer range.
                             let lo = (brange.start - task.part.start) as usize;
                             let hi = (brange.end - task.part.start) as usize;
+                            // Compacted launches derive their own warp
+                            // width from the worklist length (unless
+                            // pinned), like the incremental engine.
+                            let (pw, launch_vpw) = match work {
+                                Some(w) => (
+                                    PointingWork::Worklist(w),
+                                    fixed_vpw.unwrap_or_else(|| w.len().div_ceil(slots).max(1)),
+                                ),
+                                None => (PointingWork::Full, vpw),
+                            };
                             let PointingResult {
                                 stats,
                                 pointers_set,
                                 vertices_retired,
                                 edges_skipped,
-                            } = if optimized {
-                                // Compacted launches derive their own warp
-                                // width from the worklist length (unless
-                                // pinned), like the incremental engine.
-                                let (pw, launch_vpw) = match work {
-                                    Some(w) => (
-                                        PointingWork::Worklist(w),
-                                        fixed_vpw.unwrap_or_else(|| w.len().div_ceil(slots).max(1)),
-                                    ),
-                                    None => (PointingWork::Full, vpw),
-                                };
-                                set_pointers_scan(
-                                    g,
-                                    scan,
-                                    brange,
-                                    pw,
-                                    avail_ref,
-                                    &mut task.pointers[lo..hi],
-                                    &mut task.retired[lo..hi],
-                                    launch_vpw,
-                                    self.cfg.retire_exhausted,
-                                )
-                            } else {
-                                set_pointers_batch(
-                                    g,
-                                    brange,
-                                    avail_ref,
-                                    &mut task.pointers[lo..hi],
-                                    &mut task.retired[lo..hi],
-                                    vpw,
-                                    self.cfg.retire_exhausted,
-                                )
-                            };
+                            } = set_pointers_scan(
+                                g,
+                                scan,
+                                brange,
+                                pw,
+                                avail_ref,
+                                &mut task.pointers[lo..hi],
+                                &mut task.retired[lo..hi],
+                                launch_vpw,
+                                self.cfg.retire_exhausted,
+                            );
                             let label = task.ctx.label("point", || format!("point b{b}"));
                             let launch = task.ctx.launch_kernel(Some(b), label, &stats);
                             rep.pointers_set += pointers_set;

@@ -120,6 +120,9 @@ type Outcome = (VertexId, u64, u64, u64);
 /// * `retired_batch` — the batch's slice of the retirement flags; a vertex
 ///   with no available neighbor can never match and is skipped in later
 ///   iterations (LD-SEQ's "remove from G") when `retire` is on.
+///
+/// The same launch as [`set_pointers_scan`] with [`Scan::Full`] over
+/// [`PointingWork::Full`], which is how the driver runs it.
 pub fn set_pointers_batch(
     g: &CsrGraph,
     batch: &VertexRange,
