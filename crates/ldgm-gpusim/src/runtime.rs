@@ -27,7 +27,7 @@
 use std::borrow::Cow;
 
 use crate::cluster::ClusterTopology;
-use crate::collective::CommModel;
+use crate::collective::{hierarchical_allreduce_time, CommModel};
 use crate::device::{CostModel, DeviceSpec, KernelStats};
 use crate::export::timeline_breakdown;
 use crate::interconnect::Link;
@@ -308,9 +308,9 @@ impl SimRuntime {
     /// The hierarchical schedule is reduce-scatter + allgather within
     /// each node over the fast intra-node link, then a ring across the
     /// node leaders over `topo.inter`, then the broadcast back (folded
-    /// into the intra allgather). Mirrors
-    /// [`CommModel::Hierarchical`]'s closed form, with the inter-node
-    /// payload scaled by [`SimRuntime::set_inter_cut`]. If a flat ring
+    /// into the intra allgather). The same closed form as
+    /// [`CommModel::Hierarchical`], with the inter-node payload scaled by
+    /// [`SimRuntime::set_inter_cut`]. If a flat ring
     /// over the slow link beats that schedule (tiny payloads, where the
     /// second launch dominates), fall back to it — the planner is never
     /// slower than flat.
@@ -327,13 +327,16 @@ impl SimRuntime {
             return None;
         }
 
-        let local = CommModel::Nccl { launch_us };
-        let intra = local.allreduce_time(&self.peer, ndev.min(gpn), payload_bytes);
         let inter_payload = ((payload_bytes as f64) * self.inter_cut).ceil() as u64;
-        let nn = nodes as f64;
-        let inter_ring = 2.0 * (nn - 1.0) / nn * inter_payload as f64 / (topo.inter.bw_gbps * 1e9)
-            + 2.0 * (nn - 1.0) * topo.inter.latency_us * 1e-6;
-        let hier_cost = intra + inter_ring + launch_us * 1e-6;
+        let (hier_cost, inter_ring) = hierarchical_allreduce_time(
+            &self.peer,
+            &topo.inter,
+            launch_us,
+            ndev.min(gpn),
+            nodes,
+            payload_bytes,
+            inter_payload,
+        );
 
         let intra_bytes: u64 = (0..nodes)
             .map(|node| {
@@ -345,7 +348,8 @@ impl SimRuntime {
 
         // Never-slower-than-flat: a single flat ring over the slow
         // inter-node link (what `Platform::flattened` would bill).
-        let flat_cost = local.allreduce_time(&topo.inter, ndev, payload_bytes);
+        let flat_cost =
+            CommModel::Nccl { launch_us }.allreduce_time(&topo.inter, ndev, payload_bytes);
         if flat_cost < hier_cost {
             // Every hop of the flat ring is billed; the ring crosses a
             // node boundary on `nodes` of its `ndev` hops (p devices →
