@@ -80,14 +80,13 @@ fn main() {
     let points = parsed.get("throughput").and_then(Json::as_array).expect("throughput array");
     assert_eq!(points.len(), study.throughput.len(), "throughput count round-trips");
     for (row, p) in points.iter().zip(&study.throughput) {
-        assert_eq!(row.get("io").and_then(Json::as_str), Some(p.io.as_str()));
+        assert_eq!(row.get("io").and_then(Json::as_str), Some("reactor"));
         let rps = row.get("rps").and_then(Json::as_f64).expect("rps recorded");
-        assert!(rps > 0.0, "{} @ {} clients: zero throughput", p.io, p.clients);
+        assert!(rps > 0.0, "{} clients: zero throughput", p.clients);
         assert!(row.get("p99_us").and_then(Json::as_f64).is_some(), "p99 recorded");
         assert!(
             row.get("replay_identical").and_then(Json::as_bool) == Some(true),
-            "{} @ {} clients: replay diverged",
-            p.io,
+            "{} clients: replay diverged",
             p.clients
         );
     }

@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn incremental_beats_from_scratch_for_small_batches() {
-        // The acceptance criterion on a fast, test-sized stand-in.
+        // The study's headline check on a fast, test-sized stand-in.
         let g = urand(2000, 12000, 31);
         let setup = MatcherSetup {
             platform: scaled_platform(Platform::dgx_a100()),

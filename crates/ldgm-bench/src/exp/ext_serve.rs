@@ -15,11 +15,11 @@
 //! 2. **Throughput trajectory** (first dataset): a single-threaded
 //!    multiplexed loadgen — every connection non-blocking behind one
 //!    poller, a bounded window of pipelined in-flight requests per
-//!    connection — sweeps the client count over both I/O models
-//!    (`blocking` thread-per-connection baseline vs the epoll `reactor`)
-//!    and records rps with p50/p99/p999 completion latency. The summary
-//!    pins the headline ratio: reactor rps at the largest client count
-//!    over the baseline's best rps at any client count.
+//!    connection — sweeps the client count against the epoll reactor and
+//!    records rps with p50/p99/p999 completion latency. The summary pins
+//!    the headline ratio: reactor rps at the largest client count over
+//!    [`BASELINE_BEST_RPS`], the best rps the retired thread-per-connection
+//!    pool reached in the committed `BENCH_serve.json`.
 //!
 //! `BENCH_serve.json` is a schema-version-2 document:
 //! `{schema_version, records, throughput, summary}`.
@@ -37,8 +37,8 @@ use ldgm_gpusim::json::{self, Json};
 use ldgm_gpusim::Platform;
 use ldgm_graph::{CsrGraph, Xoshiro256};
 use ldgm_serve::{
-    serve, serve_opts, FrameSplitter, IoModel, MatchService, ServeConfig, ServerOptions,
-    SplitFrame, MAX_FRAME_LEN,
+    serve, serve_opts, FrameSplitter, MatchService, ServeConfig, ServerOptions, SplitFrame,
+    MAX_FRAME_LEN,
 };
 
 use crate::datasets::{by_name, scaled_platform, Dataset};
@@ -64,9 +64,15 @@ pub const THROUGHPUT_CLIENTS: &[usize] = &[4, 32, 128, 512];
 pub const THROUGHPUT_DURATION_MS: u64 = 2000;
 /// Default pipelined in-flight requests per loadgen connection.
 pub const WINDOW: usize = 16;
-/// Reactor event-loop threads used by the throughput sweep (the blocking
-/// baseline gets one handler thread per client, its native shape).
+/// Reactor event-loop threads used by the throughput sweep.
 pub const REACTOR_THREADS: usize = 2;
+/// The baseline of the headline ratio: the best rps of the
+/// thread-per-connection pool (one handler thread per client) in the
+/// committed `BENCH_serve.json`, reached at [`BASELINE_BEST_CLIENTS`]
+/// clients. The pool is gone, so the figure is pinned here.
+pub const BASELINE_BEST_RPS: f64 = 218_691.5;
+/// Client count of [`BASELINE_BEST_RPS`].
+pub const BASELINE_BEST_CLIENTS: usize = 32;
 /// One update is interleaved per this many loadgen requests.
 const UPDATE_EVERY: usize = 64;
 
@@ -170,16 +176,14 @@ impl ServeRecord {
     }
 }
 
-/// One (io model, client count) point of the throughput trajectory.
+/// One client-count point of the throughput trajectory.
 #[derive(Clone, Debug)]
 pub struct ThroughputPoint {
     /// Dataset name.
     pub dataset: String,
-    /// I/O model label (`"reactor"` / `"blocking"`).
-    pub io: String,
     /// Concurrent loadgen connections.
     pub clients: usize,
-    /// Server threads (event loops, or blocking handlers).
+    /// Reactor event-loop threads.
     pub threads: usize,
     /// Pipelined in-flight requests per connection.
     pub window: usize,
@@ -197,7 +201,7 @@ pub struct ThroughputPoint {
     pub p99_us: f64,
     /// 99.9th-percentile completion latency, microseconds.
     pub p999_us: f64,
-    /// Server-side flushes that hit `WouldBlock` (reactor only).
+    /// Server-side flushes that hit `WouldBlock`.
     pub backpressure_stalls: u64,
     /// Offline replay check at shutdown.
     pub replay_identical: bool,
@@ -208,7 +212,7 @@ impl ThroughputPoint {
     pub fn to_json(&self) -> Json {
         Json::object()
             .with("dataset", self.dataset.clone())
-            .with("io", self.io.clone())
+            .with("io", "reactor")
             .with("clients", self.clients)
             .with("threads", self.threads)
             .with("window", self.window)
@@ -235,39 +239,22 @@ pub struct Study {
 
 impl Study {
     /// The headline ratio: reactor rps at its largest measured client
-    /// count over the blocking baseline's best rps at any client count.
-    /// `None` until both models have at least one point.
+    /// count over [`BASELINE_BEST_RPS`]. `None` when the sweep was
+    /// skipped.
     pub fn speedup(&self) -> Option<f64> {
-        let best_baseline = self
-            .throughput
-            .iter()
-            .filter(|p| p.io == "blocking")
-            .max_by(|a, b| a.rps.total_cmp(&b.rps))?;
-        let reactor_at_max =
-            self.throughput.iter().filter(|p| p.io == "reactor").max_by_key(|p| p.clients)?;
-        Some(reactor_at_max.rps / best_baseline.rps.max(1e-9))
+        let reactor_at_max = self.throughput.iter().max_by_key(|p| p.clients)?;
+        Some(reactor_at_max.rps / BASELINE_BEST_RPS)
     }
 
     /// Serialize the schema-version-2 `BENCH_serve.json` document.
     pub fn to_json(&self) -> Json {
         let mut summary = Json::object();
-        if let Some(best) = self
-            .throughput
-            .iter()
-            .filter(|p| p.io == "blocking")
-            .max_by(|a, b| a.rps.total_cmp(&b.rps))
-        {
-            summary.set("baseline_best_rps", best.rps);
-            summary.set("baseline_best_clients", best.clients);
-        }
-        if let Some(peak) =
-            self.throughput.iter().filter(|p| p.io == "reactor").max_by_key(|p| p.clients)
-        {
+        if let Some(peak) = self.throughput.iter().max_by_key(|p| p.clients) {
+            summary.set("baseline_best_rps", BASELINE_BEST_RPS);
+            summary.set("baseline_best_clients", BASELINE_BEST_CLIENTS);
             summary.set("reactor_rps_at_max_clients", peak.rps);
             summary.set("reactor_max_clients", peak.clients);
-        }
-        if let Some(s) = self.speedup() {
-            summary.set("speedup", s);
+            summary.set("speedup", peak.rps / BASELINE_BEST_RPS);
         }
         Json::object()
             .with("schema_version", 2u64)
@@ -511,12 +498,12 @@ impl PipeConn {
     }
 }
 
-/// Serve `g` with the chosen I/O model and drive it with a multiplexed
-/// windowed-pipelining loadgen for `duration_ms`; returns the point.
+/// Serve `g` on [`REACTOR_THREADS`] event loops and drive it with a
+/// multiplexed windowed-pipelining loadgen for `duration_ms`; returns the
+/// point.
 pub fn measure_throughput(
     name: &str,
     g: CsrGraph,
-    io_model: IoModel,
     clients: usize,
     duration_ms: u64,
     window: usize,
@@ -525,16 +512,11 @@ pub fn measure_throughput(
     let service = service_for(name, g, 64);
     let n = service.snapshot().mate.len() as u64;
     assert!(n > 2, "throughput graph too small");
-    let threads = match io_model {
-        // A couple of event loops carry every connection…
-        IoModel::Reactor => REACTOR_THREADS,
-        // …the baseline gets its native shape: a thread per connection.
-        IoModel::Blocking => clients,
-    };
+    let threads = REACTOR_THREADS;
     let handle = serve_opts(
         vec![service],
         "127.0.0.1:0",
-        ServerOptions { io: io_model, threads, max_frame: MAX_FRAME_LEN },
+        ServerOptions { threads, max_frame: MAX_FRAME_LEN },
     )
     .expect("bind loopback");
     let addr = handle.addr;
@@ -653,7 +635,6 @@ pub fn measure_throughput(
     latencies.sort_by(|a, b| a.total_cmp(b));
     ThroughputPoint {
         dataset: name.to_string(),
-        io: io_model.label().to_string(),
         clients,
         threads,
         window,
@@ -715,7 +696,7 @@ pub fn run_on_with(
     if cfg.duration_ms == 0 || cfg.throughput_clients.is_empty() {
         return Ok(study);
     }
-    writeln!(w, "## Throughput trajectory ({}): blocking baseline vs epoll reactor\n", first.name)?;
+    writeln!(w, "## Throughput trajectory ({}): epoll reactor\n", first.name)?;
     writeln!(
         w,
         "Multiplexed loadgen, window {} pipelined requests per connection,\n\
@@ -723,36 +704,29 @@ pub fn run_on_with(
          `mate` queries.\n",
         cfg.window, cfg.duration_ms
     )?;
-    let mut tt = Table::new(vec![
-        "io", "clients", "threads", "rps", "p50", "p99", "p99.9", "stalls", "replay",
-    ]);
-    for &io_model in &[IoModel::Blocking, IoModel::Reactor] {
-        for &clients in &cfg.throughput_clients {
-            let p = measure_throughput(
-                first.name,
-                first.build(),
-                io_model,
-                clients,
-                cfg.duration_ms,
-                cfg.window,
-            );
-            tt.row(vec![
-                p.io.clone(),
-                format!("{}", p.clients),
-                format!("{}", p.threads),
-                format!("{:.0}", p.rps),
-                format!("{:.0} us", p.p50_us),
-                format!("{:.0} us", p.p99_us),
-                format!("{:.0} us", p.p999_us),
-                format!("{}", p.backpressure_stalls),
-                if p.replay_identical { "identical" } else { "DIVERGED" }.to_string(),
-            ]);
-            study.throughput.push(p);
-        }
+    let mut tt =
+        Table::new(vec!["clients", "threads", "rps", "p50", "p99", "p99.9", "stalls", "replay"]);
+    for &clients in &cfg.throughput_clients {
+        let p = measure_throughput(first.name, first.build(), clients, cfg.duration_ms, cfg.window);
+        tt.row(vec![
+            format!("{}", p.clients),
+            format!("{}", p.threads),
+            format!("{:.0}", p.rps),
+            format!("{:.0} us", p.p50_us),
+            format!("{:.0} us", p.p99_us),
+            format!("{:.0} us", p.p999_us),
+            format!("{}", p.backpressure_stalls),
+            if p.replay_identical { "identical" } else { "DIVERGED" }.to_string(),
+        ]);
+        study.throughput.push(p);
     }
     writeln!(w, "{tt}")?;
     if let Some(s) = study.speedup() {
-        writeln!(w, "reactor @ max clients vs best blocking baseline: {s:.1}x\n")?;
+        writeln!(
+            w,
+            "reactor @ max clients vs the thread-per-connection pool's best \
+             ({BASELINE_BEST_RPS:.0} rps @ {BASELINE_BEST_CLIENTS} clients, pinned): {s:.1}x\n"
+        )?;
     }
     Ok(study)
 }
@@ -777,7 +751,7 @@ mod tests {
     #[test]
     fn concurrent_load_coalesces_and_replays_identically() {
         let rec = measure("test-urand", urand(400, 1600, 3), 3, 30);
-        // The acceptance criterion: concurrent submissions actually merge.
+        // What coalescing promises: concurrent submissions actually merge.
         assert!(rec.mean_batch > 1.0, "mean batch {}", rec.mean_batch);
         assert!(rec.flushes > 1, "{} flushes", rec.flushes);
         assert_eq!(rec.epoch, rec.flushes);
@@ -790,23 +764,20 @@ mod tests {
     }
 
     #[test]
-    fn throughput_point_measures_both_io_models() {
-        for io_model in [IoModel::Reactor, IoModel::Blocking] {
-            let p = measure_throughput("test-urand", urand(300, 1200, 3), io_model, 8, 250, 8);
-            assert_eq!(p.io, io_model.label());
-            assert!(p.requests > 0, "{io_model:?}: no completions");
-            assert!(p.rps > 0.0, "{io_model:?}");
-            assert!(p.p99_us >= p.p50_us && p.p999_us >= p.p99_us, "{io_model:?}");
-            assert!(p.replay_identical, "{io_model:?}: replay diverged");
-            assert!(p.updates > 0, "{io_model:?}: stream had no updates");
-        }
+    fn throughput_point_measures_the_reactor() {
+        let p = measure_throughput("test-urand", urand(300, 1200, 3), 8, 250, 8);
+        assert_eq!(p.threads, REACTOR_THREADS);
+        assert!(p.requests > 0, "no completions");
+        assert!(p.rps > 0.0);
+        assert!(p.p99_us >= p.p50_us && p.p999_us >= p.p99_us);
+        assert!(p.replay_identical, "replay diverged");
+        assert!(p.updates > 0, "stream had no updates");
     }
 
     #[test]
     fn study_document_has_schema_v2_shape() {
-        let point = |io: &str, clients: usize, rps: f64| ThroughputPoint {
+        let point = |clients: usize, rps: f64| ThroughputPoint {
             dataset: "x".into(),
-            io: io.into(),
             clients,
             threads: 2,
             window: 16,
@@ -822,24 +793,26 @@ mod tests {
         };
         let study = Study {
             records: Vec::new(),
-            throughput: vec![
-                point("blocking", 4, 2000.0),
-                point("blocking", 32, 1500.0),
-                point("reactor", 4, 3000.0),
-                point("reactor", 32, 12000.0),
-            ],
+            throughput: vec![point(32, 437_383.0), point(4, 500_000.0)],
         };
-        // Speedup = reactor at its largest client count (32 → 12000) over
-        // the baseline's best anywhere (4 → 2000).
-        assert!((study.speedup().unwrap() - 6.0).abs() < 1e-9);
+        // Speedup = reactor at its largest client count (32) over the
+        // pinned baseline.
+        assert_eq!(study.speedup(), Some(2.0));
+        assert_eq!(Study::default().speedup(), None);
         let doc = study.to_json();
         assert_eq!(doc.get("schema_version").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(doc.get("throughput").and_then(Json::as_array).unwrap().len(), 4);
+        let rows = doc.get("throughput").and_then(Json::as_array).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.get("io").and_then(Json::as_str) == Some("reactor")));
         let summary = doc.get("summary").unwrap();
-        assert_eq!(summary.get("baseline_best_rps").and_then(Json::as_f64), Some(2000.0));
-        assert_eq!(summary.get("baseline_best_clients").and_then(Json::as_f64), Some(4.0));
-        assert_eq!(summary.get("reactor_rps_at_max_clients").and_then(Json::as_f64), Some(12000.0));
-        assert_eq!(summary.get("speedup").and_then(Json::as_f64), Some(6.0));
+        assert_eq!(summary.get("baseline_best_rps").and_then(Json::as_f64), Some(218_691.5));
+        assert_eq!(summary.get("baseline_best_clients").and_then(Json::as_f64), Some(32.0));
+        assert_eq!(
+            summary.get("reactor_rps_at_max_clients").and_then(Json::as_f64),
+            Some(437_383.0)
+        );
+        assert_eq!(summary.get("reactor_max_clients").and_then(Json::as_f64), Some(32.0));
+        assert_eq!(summary.get("speedup").and_then(Json::as_f64), Some(2.0));
         // Round-trip through the parser (what the CI gate does).
         let parsed = json::parse(&doc.to_string_pretty()).unwrap();
         let rows = parsed.get("throughput").and_then(Json::as_array).unwrap();

@@ -3,10 +3,8 @@
 //! table/figure; the `table1`..`fig11` binaries are thin wrappers and
 //! `repro_all` writes the full set under `target/repro/`.
 
-pub mod ext_distributed;
 pub mod ext_dynamic;
 pub mod ext_generations;
-pub mod ext_host;
 pub mod ext_oocore;
 pub mod ext_scaling;
 pub mod ext_serve;
@@ -48,10 +46,8 @@ pub fn all() -> Vec<(&'static str, ExpRunner)> {
         ("fig9", fig9::run),
         ("fig10", fig10::run),
         ("fig11", fig11::run),
-        ("ext_distributed", ext_distributed::run),
         ("ext_dynamic", ext_dynamic::run),
         ("ext_generations", ext_generations::run),
-        ("ext_host", ext_host::run),
         ("ext_oocore", ext_oocore::run),
         ("ext_scaling", ext_scaling::run),
         ("ext_serve", ext_serve::run),

@@ -161,10 +161,7 @@ OPTIONS:
                    each is served as a dataset named by its file stem
   --host H         bind address (default 127.0.0.1)
   --port P         TCP port; 0 picks a free one (default 0)
-  --io MODEL       I/O engine: 'reactor' (epoll event loops, the
-                   default) or 'blocking' (thread-per-connection)
-  --reactor-threads N  event-loop threads for --io reactor (default 2)
-  --workers N      handler threads for --io blocking (default 4)
+  --reactor-threads N  epoll event-loop threads (default 2)
   --max-frame B    per-line frame cap in bytes; longer requests answer
                    413 and are discarded (default 262144)
   --coalesce K     flush the pending buffer at K updates (default 64)
@@ -739,9 +736,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         "input",
         "host",
         "port",
-        "io",
         "reactor-threads",
-        "workers",
         "max-frame",
         "coalesce",
         "deadline-ms",
@@ -771,14 +766,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     }
     // Transport flags are validated before the (possibly slow) dataset
     // loads so typos fail fast.
-    let io_name = args.get_or("io", "reactor");
-    let io = ldgm_serve::IoModel::parse(io_name).ok_or_else(|| {
-        ArgError(format!("unknown --io model '{io_name}' (valid: reactor, blocking)"))
-    })?;
-    let threads = match io {
-        ldgm_serve::IoModel::Reactor => args.get_num("reactor-threads", 2usize)?,
-        ldgm_serve::IoModel::Blocking => args.get_num("workers", 4usize)?,
-    };
+    let threads = args.get_num("reactor-threads", 2usize)?;
     let max_frame = args.get_num("max-frame", ldgm_serve::MAX_FRAME_LEN)?;
     if max_frame == 0 {
         return Err(ArgError("--max-frame must be at least 1".into()));
@@ -801,7 +789,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     }
 
     let bind = format!("{}:{}", args.get_or("host", "127.0.0.1"), args.get_num("port", 0u16)?);
-    let opts = ldgm_serve::ServerOptions { io, threads, max_frame };
+    let opts = ldgm_serve::ServerOptions { threads, max_frame };
     let handle = ldgm_serve::serve_opts(services.clone(), &bind, opts)
         .map_err(|e| ArgError(format!("failed to bind '{bind}': {e}")))?;
 
@@ -809,7 +797,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     // must go out now, not with the final report.
     {
         use std::io::Write as _;
-        println!("ldgm-serve listening on {} ({} x{})", handle.addr, io.label(), threads.max(1));
+        println!("ldgm-serve listening on {} (reactor x{})", handle.addr, threads.max(1));
         let _ = std::io::stdout().flush();
     }
     if let Some(path) = args.get("addr-file") {
@@ -1261,7 +1249,7 @@ mod tests {
         )))
         .unwrap();
         let cmd = format!(
-            "serve --input {gpath} --port 0 --io reactor --reactor-threads 2 --coalesce 4 \
+            "serve --input {gpath} --port 0 --reactor-threads 2 --coalesce 4 \
              --deadline-ms 60000 --addr-file {apath}"
         );
         let server = std::thread::spawn(move || run(&args(&cmd)));
@@ -1325,12 +1313,13 @@ mod tests {
             .0
             .contains("failed to read"));
         assert!(run(&args("serve --input x.mtx --bogus 1")).unwrap_err().0.contains("--bogus"));
-        // The overlap schedule follows --devices; nothing is left to tune.
-        for gone in ["--no-auto-tune", "--overlap"] {
+        // The overlap schedule follows --devices, so nothing is left to
+        // tune, and the reactor is the only transport.
+        for gone in ["--no-auto-tune", "--overlap", "--io reactor", "--workers 4"] {
             let err = run(&args(&format!("serve --input x.mtx {gone}"))).unwrap_err().0;
-            assert!(err.contains(gone), "{gone}: {err}");
+            let name = gone.split(' ').next().unwrap();
+            assert!(err.contains(&format!("unknown option '{name}'")), "{gone}: {err}");
         }
-        assert!(run(&args("serve --input x.mtx --io warp")).unwrap_err().0.contains("--io"));
         assert!(run(&args("serve --input x.mtx --max-frame 0"))
             .unwrap_err()
             .0

@@ -26,7 +26,6 @@
 
 pub mod auction;
 pub mod augment;
-pub mod b_matching;
 pub mod blossom;
 pub mod cugraph_sim;
 pub mod fom;

@@ -10,10 +10,9 @@
 //! * [`device`] — [`device::DeviceSpec`] presets (A100/V100) and the
 //!   warp-centric kernel cost model over [`device::KernelStats`];
 //! * [`interconnect`] — NVLink SXM3/SXM4 and PCIe link models;
-//! * [`collective`] — NCCL ring-allreduce and MPI-staged (cuGraph/RAFT)
-//!   cost models, plus the exact host-side reductions
-//!   [`collective::allreduce_max_merge`] and
-//!   [`collective::hierarchical_max_merge`];
+//! * [`collective`] — NCCL ring-allreduce, MPI-staged (cuGraph/RAFT) and
+//!   hierarchical multi-node cost models, and the [`NONE_SENTINEL`] of the
+//!   pointer and mate arrays;
 //! * [`cluster`] — [`cluster::ClusterTopology`]: N nodes × M GPUs with
 //!   per-hop-class links ([`cluster::HopClass`]) behind the hierarchical
 //!   collectives and topology-aware placement;
@@ -53,7 +52,7 @@ pub mod timer;
 pub mod trace;
 
 pub use cluster::{ClusterTopology, HopClass};
-pub use collective::{allreduce_max_merge, hierarchical_max_merge, CommModel, NONE_SENTINEL};
+pub use collective::{CommModel, NONE_SENTINEL};
 pub use device::{CostModel, DeviceSpec, KernelStats};
 pub use export::{chrome_trace_json, timeline_breakdown};
 pub use interconnect::{Interconnect, Link};

@@ -18,13 +18,10 @@
 //! a pure function of the final graph state, so any batching of an
 //! order-preserved update sequence commits the same matching.
 //!
-//! The transport comes in two interchangeable models ([`server::IoModel`]):
-//! the default **reactor** — a few epoll event-loop threads (via the
-//! vendored [`epoll_shim`], `poll(2)` off Linux) driving non-blocking
+//! The transport is a **reactor**: a few epoll event-loop threads (via the
+//! vendored [`epoll_shim`], `poll(2)` on other Unixes) driving non-blocking
 //! per-connection state machines with a zero-allocation fast path for hot
-//! `mate`/`update` frames — and the legacy **blocking**
-//! thread-per-connection pool, kept as the measured baseline of the
-//! `ext_serve` throughput study. Both emit bit-identical wire responses.
+//! `mate`/`update` frames.
 //!
 //! Modules:
 //! - [`protocol`] — typed requests/responses over the hand-rolled
@@ -37,10 +34,9 @@
 //! - [`reactor`] — the epoll event loops: shard routing, batched flushes,
 //!   write-interest management, backpressure, subscription fan-out via
 //!   per-shard notifier queues.
-//! - [`server`] — the shared TCP front door: [`server::serve`] /
-//!   [`server::serve_blocking`] / [`server::serve_opts`], the deadline
-//!   flusher, transport stats, graceful shutdown with an offline replay
-//!   check.
+//! - [`server`] — the TCP front door: [`server::serve`] /
+//!   [`server::serve_opts`], the deadline flusher, transport stats,
+//!   graceful shutdown with an offline replay check.
 
 pub mod protocol;
 pub mod reactor;
@@ -49,9 +45,7 @@ pub mod service;
 
 pub use ldgm_core::UNMATCHED;
 pub use protocol::{FrameSplitter, ParsedRequest, Request, SplitFrame, MAX_FRAME_LEN};
-pub use server::{
-    serve, serve_blocking, serve_opts, IoModel, ServerHandle, ServerOptions, ServerStats,
-};
+pub use server::{serve, serve_opts, ServerHandle, ServerOptions, ServerStats};
 pub use service::{
     resolve_dyn_config, AdmissionError, FlushSummary, MatchService, MateChange, ServeConfig,
     ServiceStats, Snapshot, SubmitAck,

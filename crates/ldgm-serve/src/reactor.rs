@@ -470,7 +470,7 @@ impl Reactor {
     ) -> u64 {
         let line = raw.trim_ascii();
         if line.is_empty() {
-            return 0; // blank lines are ignored, like the blocking path
+            return 0; // blank lines are ignored
         }
 
         // Zero-allocation fast path: the canonical compact `mate` frame

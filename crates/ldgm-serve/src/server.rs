@@ -1,76 +1,30 @@
-//! The TCP layer: a shared front door over two interchangeable I/O
-//! models.
+//! The TCP layer: a few epoll event-loop threads ([`crate::reactor`])
+//! multiplex every connection — non-blocking sockets, per-connection
+//! state machines, batched flushes, write interest armed only while a
+//! send buffer is non-empty.
 //!
-//! - [`IoModel::Reactor`] (the default behind [`serve`]): a few epoll
-//!   event-loop threads ([`crate::reactor`]) multiplex every connection —
-//!   non-blocking sockets, per-connection state machines, batched
-//!   flushes, write interest armed only while a send buffer is
-//!   non-empty. This is the high-throughput path.
-//! - [`IoModel::Blocking`] ([`serve_blocking`]): the original
-//!   thread-per-connection pool — one acceptor feeding `threads` handler
-//!   threads over an mpsc channel. Kept as the measured baseline for the
-//!   `ext_serve` throughput study and as a semantics reference: both
-//!   models speak bit-identical wire responses.
-//!
-//! Either way a flusher thread ticks the deadline-based flush of every
-//! resident dataset so a trickle of updates still commits without
-//! waiting for the coalesce target, and shutdown is cooperative: the
-//! `shutdown` op (or [`ServerHandle::shutdown`]) flushes every dataset,
-//! runs the offline replay check, flips the stop flag and wakes every
-//! event loop (reactor) or nudges the acceptor with a loopback connect
-//! (blocking).
+//! A flusher thread ticks the deadline-based flush of every resident
+//! dataset so a trickle of updates still commits without waiting for the
+//! coalesce target, and shutdown is cooperative: the `shutdown` op (or
+//! [`ServerHandle::shutdown`]) flushes every dataset, runs the offline
+//! replay check, flips the stop flag and wakes every event loop.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ldgm_gpusim::json::Json;
-use parking_lot::Mutex;
 
-use crate::protocol::{
-    err_response, frame_too_large_response, ok_response, ParsedRequest, Request, MAX_FRAME_LEN,
-};
+use crate::protocol::{err_response, ok_response, MAX_FRAME_LEN};
 use crate::reactor::{spawn_shards, ShardHandle};
-use crate::service::{MatchService, UNMATCHED};
-
-/// Which I/O engine drives the sockets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoModel {
-    /// Epoll event loops (poll(2) off Linux): a few threads, many
-    /// connections, zero-allocation hot path. The default.
-    Reactor,
-    /// Thread-per-connection on a worker pool: the pre-reactor baseline.
-    Blocking,
-}
-
-impl IoModel {
-    /// Stable wire/CLI name (`"reactor"` / `"blocking"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            IoModel::Reactor => "reactor",
-            IoModel::Blocking => "blocking",
-        }
-    }
-
-    /// Parse a CLI/wire name (the inverse of [`IoModel::label`]).
-    pub fn parse(s: &str) -> Option<IoModel> {
-        match s {
-            "reactor" => Some(IoModel::Reactor),
-            "blocking" => Some(IoModel::Blocking),
-            _ => None,
-        }
-    }
-}
+use crate::service::MatchService;
 
 /// Tunables for [`serve_opts`]; [`Default`] matches plain [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// I/O engine.
-    pub io: IoModel,
-    /// Reactor event-loop threads, or blocking handler threads.
+    /// Reactor event-loop threads.
     pub threads: usize,
     /// Per-frame byte cap; longer lines answer `413` and are discarded.
     pub max_frame: usize,
@@ -78,7 +32,7 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        ServerOptions { io: IoModel::Reactor, threads: 2, max_frame: MAX_FRAME_LEN }
+        ServerOptions { threads: 2, max_frame: MAX_FRAME_LEN }
     }
 }
 
@@ -91,19 +45,17 @@ pub struct ServerStats {
     pub(crate) requests: AtomicU64,
     pub(crate) backpressure_stalls: AtomicU64,
     started: Instant,
-    io: IoModel,
     threads: usize,
 }
 
 impl ServerStats {
-    fn new(io: IoModel, threads: usize) -> ServerStats {
+    fn new(threads: usize) -> ServerStats {
         ServerStats {
             accepted: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
             requests: AtomicU64::new(0),
             backpressure_stalls: AtomicU64::new(0),
             started: Instant::now(),
-            io,
             threads,
         }
     }
@@ -201,7 +153,7 @@ fn server_stats_json(stats: &ServerStats, shards: &[ShardSnapshot]) -> Json {
         .map(|s| Json::object().with("connections", s.connections).with("requests", s.requests))
         .collect();
     Json::object()
-        .with("io", stats.io.label())
+        .with("io", "reactor")
         .with("threads", stats.threads)
         .with("connections", stats.connections())
         .with("accepted", stats.accepted())
@@ -244,7 +196,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     stats: Arc<ServerStats>,
-    /// Reactor shards to wake on shutdown (empty for the blocking model).
+    /// Reactor shards to wake on shutdown.
     shards: Vec<Arc<ShardHandle>>,
 }
 
@@ -263,13 +215,8 @@ impl ServerHandle {
     /// `shutdown` op; in-flight connections are drained, not severed.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        if self.shards.is_empty() {
-            // Nudge the blocking accept loop.
-            let _ = TcpStream::connect(self.addr);
-        } else {
-            for s in &self.shards {
-                s.wake();
-            }
+        for s in &self.shards {
+            s.wake();
         }
         for t in self.threads {
             let _ = t.join();
@@ -287,27 +234,13 @@ impl ServerHandle {
 
 /// Start serving `services` (first entry is the default dataset) on
 /// `bind` (e.g. `"127.0.0.1:0"`) with `threads` reactor event-loop
-/// threads. Shorthand for [`serve_opts`] with [`IoModel::Reactor`].
+/// threads. Shorthand for [`serve_opts`] with the default frame cap.
 pub fn serve(
     services: Vec<Arc<MatchService>>,
     bind: &str,
     threads: usize,
 ) -> std::io::Result<ServerHandle> {
     serve_opts(services, bind, ServerOptions { threads, ..ServerOptions::default() })
-}
-
-/// Start serving with the legacy thread-per-connection model (`threads`
-/// handler threads). The baseline the throughput study measures against.
-pub fn serve_blocking(
-    services: Vec<Arc<MatchService>>,
-    bind: &str,
-    threads: usize,
-) -> std::io::Result<ServerHandle> {
-    serve_opts(
-        services,
-        bind,
-        ServerOptions { io: IoModel::Blocking, threads, ..ServerOptions::default() },
-    )
 }
 
 /// Start serving with explicit [`ServerOptions`].
@@ -322,7 +255,7 @@ pub fn serve_opts(
     let stop = Arc::new(AtomicBool::new(false));
     let services = Arc::new(services);
     let threads_n = opts.threads.max(1);
-    let stats = Arc::new(ServerStats::new(opts.io, threads_n));
+    let stats = Arc::new(ServerStats::new(threads_n));
     let mut threads = Vec::new();
 
     // Deadline flusher: ticks at a fraction of the smallest deadline.
@@ -342,260 +275,11 @@ pub fn serve_opts(
         }));
     }
 
-    let shards = match opts.io {
-        IoModel::Reactor => {
-            let (shards, joins) = spawn_shards(
-                listener,
-                services.clone(),
-                stats.clone(),
-                stop.clone(),
-                threads_n,
-                opts.max_frame,
-            )?;
-            threads.extend(joins);
-            shards
-        }
-        IoModel::Blocking => {
-            spawn_blocking(
-                listener,
-                services,
-                stats.clone(),
-                stop.clone(),
-                threads_n,
-                opts.max_frame,
-                &mut threads,
-            );
-            Vec::new()
-        }
-    };
+    let (shards, joins) =
+        spawn_shards(listener, services, stats.clone(), stop.clone(), threads_n, opts.max_frame)?;
+    threads.extend(joins);
 
     Ok(ServerHandle { addr, stop, threads, stats, shards })
-}
-
-/// The legacy acceptor + worker pool.
-fn spawn_blocking(
-    listener: TcpListener,
-    services: Arc<Vec<Arc<MatchService>>>,
-    stats: Arc<ServerStats>,
-    stop: Arc<AtomicBool>,
-    workers: usize,
-    max_frame: usize,
-    threads: &mut Vec<JoinHandle<()>>,
-) {
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    for _ in 0..workers {
-        let rx = rx.clone();
-        let services = services.clone();
-        let stats = stats.clone();
-        let stop = stop.clone();
-        threads.push(std::thread::spawn(move || loop {
-            let conn = { rx.lock().recv() };
-            match conn {
-                Ok(stream) => handle_connection(&services, &stats, stream, &stop, max_frame),
-                Err(_) => return, // acceptor gone
-            }
-        }));
-    }
-    {
-        let stop = stop.clone();
-        threads.push(std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break; // the nudge connect lands here
-                }
-                match stream {
-                    Ok(s) => {
-                        if tx.send(s).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => continue,
-                }
-            }
-            // Dropping `tx` drains the worker pool.
-        }));
-    }
-}
-
-fn write_line(out: &Mutex<TcpStream>, j: &Json) -> bool {
-    let mut line = j.to_string_compact();
-    line.push('\n');
-    let mut s = out.lock();
-    s.write_all(line.as_bytes()).and_then(|_| s.flush()).is_ok()
-}
-
-fn handle_connection(
-    services: &[Arc<MatchService>],
-    stats: &Arc<ServerStats>,
-    stream: TcpStream,
-    stop: &Arc<AtomicBool>,
-    max_frame: usize,
-) {
-    stats.accepted.fetch_add(1, Ordering::Relaxed);
-    stats.connections.fetch_add(1, Ordering::Relaxed);
-    // Balance the connection gauge on every exit path.
-    struct OpenConn<'a>(&'a ServerStats);
-    impl Drop for OpenConn<'_> {
-        fn drop(&mut self) {
-            self.0.connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let _open = OpenConn(stats);
-
-    let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "?".into());
-    // A finite read timeout lets this handler notice the stop flag even
-    // while its client sits idle, so shutdown never hangs on an open
-    // connection. Nagle's algorithm would add ~40 ms of delayed-ACK
-    // latency to the small request/response frames this protocol sends.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let writer = Arc::new(Mutex::new(stream));
-    let mut reader = BufReader::new(read_half);
-    // Until `hello` renames it, the tenant is the peer socket address —
-    // unique per connection, so accounting still separates clients.
-    let mut tenant = format!("client-{peer}");
-    let mut line = String::new();
-
-    loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return, // client hung up
-                Ok(_) => break,
-                // Timeout mid-wait (or mid-line: already-read bytes stay
-                // appended to `line`, so continuing is lossless).
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        if line.len() > max_frame {
-            // Same cap the reactor's splitter enforces mid-stream; the
-            // buffered reader sees the whole line, so checking after the
-            // fact bounds memory just as well here.
-            if !write_line(&writer, &frame_too_large_response(line.len(), max_frame)) {
-                return;
-            }
-            continue;
-        }
-        let parsed = match ParsedRequest::parse(line.trim()) {
-            Ok(p) => p,
-            Err(e) => {
-                if !write_line(&writer, &err_response(400, e)) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let service = match resolve_idx(services, parsed.dataset.as_deref()) {
-            Ok(i) => &services[i],
-            Err(resp) => {
-                if !write_line(&writer, &resp) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = match parsed.request {
-            Request::Hello { tenant: t } => {
-                tenant = t;
-                ok_response().with("tenant", tenant.clone())
-            }
-            Request::Mate { v } => {
-                let (mate, snap) = service.mate(&tenant, v);
-                if (v as usize) >= snap.mate.len() {
-                    err_response(404, format!("vertex {v} out of range (n={})", snap.mate.len()))
-                } else {
-                    let mate_json = match mate {
-                        Some(m) => Json::from(m),
-                        None => Json::Null,
-                    };
-                    ok_response().with("v", v).with("mate", mate_json).with("epoch", snap.epoch)
-                }
-            }
-            Request::MatchInfo => info_response(service, stats),
-            Request::Update { update } => match service.submit(&tenant, &[update]) {
-                Ok(ack) => ok_response()
-                    .with("admitted", ack.admitted)
-                    .with("pending", ack.pending)
-                    .with("flushed", ack.flushed),
-                Err(e) => err_response(429, e.to_string()),
-            },
-            Request::UpdateBatch { updates } => match service.submit(&tenant, &updates) {
-                Ok(ack) => ok_response()
-                    .with("admitted", ack.admitted)
-                    .with("pending", ack.pending)
-                    .with("flushed", ack.flushed),
-                Err(e) => err_response(429, e.to_string()),
-            },
-            Request::Subscribe { v } => {
-                if (v as usize) >= service.snapshot().mate.len() {
-                    err_response(404, format!("vertex {v} out of range"))
-                } else {
-                    let out = writer.clone();
-                    let dataset = service.name().to_string();
-                    service.subscribe(
-                        v,
-                        Box::new(move |c| {
-                            let ev = Json::object()
-                                .with("event", "mate-change")
-                                .with("dataset", dataset.clone())
-                                .with("v", c.v)
-                                .with(
-                                    "old",
-                                    if c.old == UNMATCHED { Json::Null } else { Json::from(c.old) },
-                                )
-                                .with(
-                                    "new",
-                                    if c.new == UNMATCHED { Json::Null } else { Json::from(c.new) },
-                                )
-                                .with("epoch", c.epoch);
-                            write_line(&out, &ev)
-                        }),
-                    );
-                    ok_response().with("subscribed", v)
-                }
-            }
-            Request::Flush => match service.flush() {
-                Some(f) => ok_response()
-                    .with("flushed", f.updates)
-                    .with("epoch", f.epoch)
-                    .with("sim_time", f.sim_time),
-                None => ok_response().with("flushed", 0u64),
-            },
-            Request::Stats => stats_response(service, stats, &[]),
-            Request::Shutdown => {
-                let resp = shutdown_response(services);
-                stop.store(true, Ordering::SeqCst);
-                resp
-            }
-        };
-        let stopping = stop.load(Ordering::SeqCst);
-        if !write_line(&writer, &response) {
-            return;
-        }
-        if stopping {
-            // Nudge the acceptor so it observes the flag.
-            if let Ok(addr) = writer.lock().local_addr() {
-                let _ = TcpStream::connect(addr);
-            }
-            return;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -606,6 +290,8 @@ mod tests {
     use ldgm_dyn::DynConfig;
     use ldgm_gpusim::{json, Platform};
     use ldgm_graph::gen::urand;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     struct Client {
         reader: BufReader<TcpStream>,
@@ -653,7 +339,7 @@ mod tests {
         serve(vec![make_service(n, m, seed, target)], "127.0.0.1:0", 2).unwrap()
     }
 
-    fn session(handle: ServerHandle, io: &str) {
+    fn session(handle: ServerHandle) {
         let addr = handle.addr;
         let mut c = Client::connect(addr);
 
@@ -702,7 +388,7 @@ mod tests {
         let tenants = stats.get("tenants").unwrap();
         assert!(tenants.get("alice").is_some(), "hello must rename the tenant");
         let server = stats.get("server").expect("server transport object");
-        assert_eq!(server.get("io").and_then(Json::as_str), Some(io));
+        assert_eq!(server.get("io").and_then(Json::as_str), Some("reactor"));
         assert!(server.get("requests").and_then(Json::as_f64).unwrap() >= 7.0);
         assert!(server.get("connections").and_then(Json::as_f64).unwrap() >= 2.0);
 
@@ -713,13 +399,7 @@ mod tests {
 
     #[test]
     fn end_to_end_session_over_tcp() {
-        session(start(100, 400, 7, 4), "reactor");
-    }
-
-    #[test]
-    fn blocking_model_answers_the_same_session() {
-        let handle = serve_blocking(vec![make_service(100, 400, 7, 4)], "127.0.0.1:0", 4).unwrap();
-        session(handle, "blocking");
+        session(start(100, 400, 7, 4));
     }
 
     #[test]
@@ -741,9 +421,8 @@ mod tests {
             {"kind":"delete","u":5,"v":40},
             {"kind":"delete","u":6,"v":41}]}"#
             .replace('\n', " ");
-        // The flush happens inline during submit; depending on the model
-        // the mate-change event may be queued before or after the ack, so
-        // accept either order.
+        // The flush happens inline during submit; the mate-change event
+        // may be queued before or after the ack, so accept either order.
         let m1 = c.send(&del);
         let m2 = c.read_msg();
         let (ev, ack) = if m1.get("event").is_some() { (m1, m2) } else { (m2, m1) };
@@ -788,53 +467,45 @@ mod tests {
 
     #[test]
     fn oversized_frames_answer_413_and_keep_the_connection() {
-        for io in [IoModel::Reactor, IoModel::Blocking] {
-            let handle = serve_opts(
-                vec![make_service(60, 200, 5, 1000)],
-                "127.0.0.1:0",
-                ServerOptions { io, threads: 2, max_frame: 1024 },
-            )
-            .unwrap();
-            let mut c = Client::connect(handle.addr);
-            // A 4 KiB line of garbage blows the 1 KiB cap…
-            let big = "x".repeat(4096);
-            let resp = c.send(&big);
-            assert_eq!(resp.get("code").and_then(Json::as_f64), Some(413.0), "{io:?}");
-            assert!(
-                resp.get("error").and_then(Json::as_str).unwrap().contains(ERR_FRAME_TOO_LARGE),
-                "{io:?}"
-            );
-            // …and the connection still answers real requests after it.
-            let mate = c.send(r#"{"op":"mate","v":1}"#);
-            assert_eq!(mate.get("ok").and_then(Json::as_bool), Some(true), "{io:?}");
-            if io == IoModel::Reactor {
-                // Bad UTF-8 inside a frame is a 400, not a hangup. (The
-                // blocking model's line reader can't represent non-UTF-8
-                // input, so only the reactor makes this promise.)
-                self::write_raw(&mut c.stream, b"\"\xff\xfe\"\n");
-                let resp = c.read_msg();
-                assert_eq!(resp.get("code").and_then(Json::as_f64), Some(400.0), "{io:?}");
-            }
-            handle.shutdown();
-        }
+        let handle = serve_opts(
+            vec![make_service(60, 200, 5, 1000)],
+            "127.0.0.1:0",
+            ServerOptions { threads: 2, max_frame: 1024 },
+        )
+        .unwrap();
+        let mut c = Client::connect(handle.addr);
+        // A 4 KiB line of garbage blows the 1 KiB cap…
+        let big = "x".repeat(4096);
+        let resp = c.send(&big);
+        assert_eq!(resp.get("code").and_then(Json::as_f64), Some(413.0));
+        assert!(resp.get("error").and_then(Json::as_str).unwrap().contains(ERR_FRAME_TOO_LARGE));
+        // …and the connection still answers real requests after it.
+        let mate = c.send(r#"{"op":"mate","v":1}"#);
+        assert_eq!(mate.get("ok").and_then(Json::as_bool), Some(true));
+        // Bad UTF-8 inside a frame is a 400, not a hangup.
+        self::write_raw(&mut c.stream, b"\"\xff\xfe\"\n");
+        let resp = c.read_msg();
+        assert_eq!(resp.get("code").and_then(Json::as_f64), Some(400.0));
+        handle.shutdown();
     }
 
     #[test]
     fn deeply_nested_frames_answer_400_and_keep_the_connection() {
-        for io in [IoModel::Reactor, IoModel::Blocking] {
-            let opts = ServerOptions { io, ..ServerOptions::default() };
-            let handle =
-                serve_opts(vec![make_service(60, 200, 5, 1000)], "127.0.0.1:0", opts).unwrap();
-            let mut c = Client::connect(handle.addr);
-            // 10 KB of `[`, far under the frame cap. Parsed without a depth
-            // cap, it would overflow the handling thread's stack and abort
-            // the whole server.
-            let resp = c.send(&"[".repeat(10_000));
-            assert_eq!(resp.get("code").and_then(Json::as_f64), Some(400.0), "{io:?}");
-            let mate = c.send(r#"{"op":"mate","v":1}"#);
-            assert_eq!(mate.get("ok").and_then(Json::as_bool), Some(true), "{io:?}");
-            handle.shutdown();
-        }
+        let handle = serve_opts(
+            vec![make_service(60, 200, 5, 1000)],
+            "127.0.0.1:0",
+            ServerOptions::default(),
+        )
+        .unwrap();
+        let mut c = Client::connect(handle.addr);
+        // 10 KB of `[`, far under the frame cap. Parsed without a depth
+        // cap, it would overflow the handling thread's stack and abort
+        // the whole server.
+        let resp = c.send(&"[".repeat(10_000));
+        assert_eq!(resp.get("code").and_then(Json::as_f64), Some(400.0));
+        let mate = c.send(r#"{"op":"mate","v":1}"#);
+        assert_eq!(mate.get("ok").and_then(Json::as_bool), Some(true));
+        handle.shutdown();
     }
 
     fn write_raw(stream: &mut TcpStream, bytes: &[u8]) {
