@@ -13,6 +13,17 @@
 //! billed through [`ldgm_gpusim::SimRuntime`], which owns the timers, the
 //! trace, the metrics registry, and the timeline-derived phase breakdown.
 //!
+//! The host walks live vertices only. Each device keeps an ascending list
+//! of its vertices that are neither matched nor retired (the
+//! [`Scratch`] arena's live lists, every partition vertex at the start):
+//! a full SETPOINTERS launch scans each listed vertex for real and bills
+//! the warps without one in closed form, the streaming band walk starts
+//! from the list, and SETMATES commits over the lists, drops the vertices
+//! that matched or retired and, in frontier mode, emits the next
+//! frontier in the same pass. The billed kernels stay the full sweeps of
+//! Algorithms 2–3, so every simulated number is the same as an
+//! all-vertex host walk's.
+//!
 //! # Optimized mode (`ld-gpu-opt`)
 //!
 //! Three opt-in layers ([`LdGpuConfig::optimized`]), each individually
@@ -40,7 +51,10 @@
 //!   confirming scan. SETMATES stays a full-`n` global kernel (a mutual
 //!   pair may join one fresh and one stale-but-valid pointer), and the
 //!   frontier compaction rides on its full mate+pointer read (one extra
-//!   worklist append per stale vertex, not billed separately).
+//!   worklist append per stale vertex, not billed separately). On the
+//!   host the compaction is part of the live-list pass: a live vertex is
+//!   stale exactly when its target's own pointer pair is mutual, since
+//!   every live pointer names a vertex unmatched when SETMATES starts.
 //! * **sparse collectives** — pointer/mate deltas ship as
 //!   [`SimRuntime::allreduce_sparse`] entries (~16 B per written slot, the
 //!   `ldgm-dyn` convention) instead of dense `8·|V|` payloads.
@@ -73,7 +87,7 @@ use ldgm_part::{batch, memory, plan_substreams, Partition, SubstreamPlan, Vertex
 
 use super::config::{LdGpuConfig, LdGpuError};
 use super::kernels::{
-    set_mates, set_pointers_band, set_pointers_scan, PointingResult, PointingWork, Scan,
+    set_mates_live, set_pointers_band, set_pointers_scan, PointingResult, PointingWork, Scan,
 };
 use super::scratch::Scratch;
 use crate::matching::Matching;
@@ -113,9 +127,12 @@ struct DeviceTask<'a> {
     part: VertexRange,
     batches: &'a [VertexRange],
     /// Frontier worklist of this device (ascending, inside `part`), when
-    /// the optimized mode restricts the launch; `None` scans every batch
+    /// the optimized mode restricts the launch; `None` scans every live
     /// vertex.
     frontier: Option<&'a [VertexId]>,
+    /// This device's live list (ascending, inside `part`): its vertices
+    /// that are neither matched nor retired.
+    live: &'a [VertexId],
     pointers: &'a mut [u64],
     retired: &'a mut [u8],
     /// Reusable overlap-staging buffer on loan from the [`Scratch`]
@@ -197,16 +214,10 @@ fn stream_pointing(
     work.clear();
     next.clear();
     // Iteration worklist: the frontier when the optimized mode restricts
-    // the launch, otherwise every live vertex of the partition.
-    // Degree-0 vertices can never match and never enter.
-    match task.frontier {
-        Some(f) => work.extend(f.iter().copied().filter(|&u| g.degree(u) > 0)),
-        None => work.extend((part.start..part.end).filter(|&u| {
-            avail[u as usize] != 0
-                && task.retired[(u - part.start) as usize] == 0
-                && g.degree(u) > 0
-        })),
-    }
+    // the launch, otherwise the device's live list. Degree-0 vertices can
+    // never match and never enter.
+    let first = task.frontier.unwrap_or(task.live);
+    work.extend(first.iter().copied().filter(|&u| g.degree(u) > 0));
 
     let mut last_end: Option<f64> = None;
     let mut band = 0usize;
@@ -393,6 +404,7 @@ impl LdGpu {
         // lane the kernels scan, the frontier worklists, the overlap
         // comm staging — lives in one arena for the whole run.
         let mut scratch = Scratch::for_graph(g).with_devices(ndev);
+        scratch.live = partition.parts.iter().map(|p| (p.start..p.end).collect()).collect();
         if cfg.streaming {
             scratch.resident = vec![0; n];
         }
@@ -438,6 +450,7 @@ impl LdGpu {
             // the per-device `chunk_bufs` on loan.
             let Scratch {
                 avail,
+                live,
                 frontiers,
                 chunk_bufs,
                 comm_staging,
@@ -472,6 +485,7 @@ impl LdGpu {
                         part: *part,
                         batches: &batch_plans[d],
                         frontier: if frontier_round { Some(frontiers[d].as_slice()) } else { None },
+                        live: &live[d],
                         pointers: ptr_here,
                         retired: ret_here,
                         chunks: std::mem::take(&mut chunk_bufs[d]),
@@ -560,13 +574,19 @@ impl LdGpu {
                             let hi = (brange.end - task.part.start) as usize;
                             // Compacted launches derive their own warp
                             // width from the worklist length (unless
-                            // pinned), like the incremental engine.
+                            // pinned), like the incremental engine; full
+                            // launches walk the batch's slice of the live
+                            // list.
                             let (pw, launch_vpw) = match work {
                                 Some(w) => (
                                     PointingWork::Worklist(w),
                                     fixed_vpw.unwrap_or_else(|| w.len().div_ceil(slots).max(1)),
                                 ),
-                                None => (PointingWork::Full, vpw),
+                                None => {
+                                    let lo = task.live.partition_point(|&u| u < brange.start);
+                                    let hi = task.live.partition_point(|&u| u < brange.end);
+                                    (PointingWork::Live(&task.live[lo..hi]), vpw)
+                                }
                             };
                             let PointingResult {
                                 stats,
@@ -708,7 +728,18 @@ impl LdGpu {
             }
 
             // ---- Matching phase: SETMATES (line 8) ----
-            let (mstats, new_matches) = set_mates(&pointers, &mut mate, avail);
+            // The host pass walks the live lists only, dropping the
+            // vertices that matched or retired and, in frontier mode,
+            // refilling the frontiers (see below).
+            let (mstats, new_matches) = set_mates_live(
+                &pointers,
+                &retired,
+                &partition.parts,
+                live,
+                cfg.frontier.then_some(&mut frontiers[..]),
+                &mut mate,
+                avail,
+            );
             rt.counter_add(names::MATCHING_EDGES_COMMITTED, new_matches);
             rt.global_kernel("setmates", &mstats);
 
@@ -763,20 +794,13 @@ impl LdGpu {
             // went stale are those whose target was matched away by this
             // SETMATES; everyone else still points at their best available
             // neighbor. The compaction rides on SETMATES' full mate +
-            // pointer read (one worklist append per stale vertex), so it
-            // adds no billed launch. An empty frontier is a fixed point:
-            // any remaining available edge's maximum would be a mutual
-            // pair and would already have been committed.
+            // pointer read (one worklist append per stale vertex, made by
+            // the live-list pass above), so it adds no billed launch. An
+            // empty frontier is a fixed point: any remaining available
+            // edge's maximum would be a mutual pair and would already have
+            // been committed.
             if cfg.frontier {
-                let mut total = 0usize;
-                for (part, f) in partition.parts.iter().zip(frontiers.iter_mut()) {
-                    f.clear();
-                    f.extend((part.start..part.end).filter(|&u| {
-                        let p = pointers[u as usize];
-                        avail[u as usize] != 0 && p != NONE_SENTINEL && avail[p as usize] == 0
-                    }));
-                    total += f.len();
-                }
+                let total: usize = frontiers.iter().map(Vec::len).sum();
                 have_frontiers = true;
                 rt.observe(names::OPT_FRONTIER_SIZE, total as f64);
                 if total == 0 {

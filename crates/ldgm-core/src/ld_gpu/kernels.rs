@@ -7,31 +7,40 @@
 //! SETMATES is thread-per-vertex: a mutual-pointer check against the
 //! globally reduced pointer array.
 //!
-//! Host execution is structure-of-arrays throughout: a warp's vertex
-//! range maps to one contiguous slice of the CSR id and weight lanes
-//! (walked with a running cursor, no per-vertex offset slicing), and
-//! availability probes gather one byte from the
-//! [`Scratch`](super::Scratch) availability lane instead of an 8-byte
-//! mate word. The full-scan argmax is the branch-light packed-key
-//! maximum of [`ldgm_graph::soa::scan_best`] — exact, because positive
-//! finite weight bits are order-isomorphic to their values and the
-//! complemented id breaks ties toward the smaller id, mirroring the
-//! canonical [`prefer`](crate::matching::prefer) order. The optimized
-//! launches bill an early exit at the wave holding that argmax in
-//! preference order ([`Scan`]); the resident driver finds the wave by
-//! counting the keys above the argmax on the same lanes
+//! The simulated kernels sweep every vertex and let matched or retired
+//! ones exit early; the host walks only the *live* ones (neither matched
+//! nor retired), listed in ascending order per device
+//! ([`Scratch`](super::Scratch)). A full SETPOINTERS launch
+//! ([`PointingWork::Live`]) scans each listed vertex for real on the
+//! batch's warp grid and bills every warp without a live vertex in
+//! closed form (launched, its vertices read, nothing else), and SETMATES
+//! ([`set_mates_live`]) commits pairs over the live lists, drops the
+//! vertices that matched or retired and emits the next frontier in the
+//! same pass, while billing the full-`n` kernel. Full and frontier
+//! launches share one per-vertex loop, so every scan decision and every
+//! billed byte comes from the same code either way.
+//!
+//! Host execution is structure-of-arrays throughout: availability probes
+//! gather one byte from the [`Scratch`](super::Scratch) availability lane
+//! instead of an 8-byte mate word, and the full-scan argmax is the
+//! branch-light packed-key maximum of [`ldgm_graph::soa::scan_best`] —
+//! exact, because positive finite weight bits are order-isomorphic to
+//! their values and the complemented id breaks ties toward the smaller
+//! id, mirroring the canonical [`prefer`](crate::matching::prefer) order.
+//! The optimized launches bill an early exit at the wave holding that
+//! argmax in preference order ([`Scan`]); the resident driver finds the
+//! wave by counting the keys above the argmax on the same lanes
 //! ([`Scan::Ranked`]), and only the streaming band kernel reads a
 //! preference-sorted copy. Each scan mode is fixed per launch, so the
-//! plain kernel's per-vertex loop carries no mode branch. Warps are grouped
-//! into fixed-size super-chunks per parallel task so host scheduling cost
-//! is amortized over thousands of vertices; the per-warp statistics are
-//! accumulated warp by warp either way, so every [`KernelStats`] field is
-//! identical to a warp-per-task launch.
+//! plain kernel's per-vertex loop carries no mode branch. A full launch
+//! cuts its live list into parallel tasks of thousands of vertices at
+//! warp boundaries, so host scheduling cost is amortized and every
+//! [`KernelStats`] field is identical to a warp-per-task launch.
 //!
 //! All *billed* memory traffic still follows the simulated device model —
-//! the real GPU kernel gathers 8-byte mate words and streams full 32-wide
-//! waves — so the cost model is unchanged by how the host computes the
-//! same result.
+//! the real GPU kernel visits every vertex, gathers 8-byte mate words and
+//! streams full 32-wide waves — so the cost model is unchanged by how the
+//! host computes the same result.
 
 use rayon::prelude::*;
 
@@ -41,13 +50,21 @@ use ldgm_graph::stream::BandLayout;
 use ldgm_graph::{soa, SortedAdjacency};
 use ldgm_part::VertexRange;
 
-/// Vertices covered by one parallel pointing task: warps are grouped into
-/// super-chunks of about this many vertices, so per-task overhead (the
-/// thread-pool round trip and the per-chunk bookkeeping the host-side
-/// rayon combinators materialize) amortizes over thousands of scans. A
-/// fixed constant keeps the warp→task grouping — and therefore the f64
-/// `warp_edges_sumsq` accumulation order — machine-independent.
+/// Live vertices scanned by one parallel task of a full pointing launch:
+/// the batch's live list is cut into tasks of about this many entries,
+/// each ending at a warp boundary, so per-task overhead (the thread-pool
+/// round trip and the task bookkeeping) amortizes over thousands of scans
+/// while a one-device launch still spreads over every pool thread.
+///
+/// The grouping cannot move a statistic. The integer counters are sums
+/// and maxima, and `warp_edges_sumsq` is a sum of squared integer edge
+/// counts: while a launch's sum stays below 2^53 (checked in debug
+/// builds) every partial sum is an exact f64 integer, so any grouping and
+/// any order of the warps give the same bits.
 const TASK_VERTICES: usize = 4096;
+
+/// 2^53: below it every integer is an exact f64.
+const EXACT_F64_INTEGERS: f64 = (1u64 << 53) as f64;
 
 /// Result of a SETPOINTERS launch over one batch.
 #[derive(Clone, Copy, Debug, Default)]
@@ -73,12 +90,22 @@ impl PointingResult {
     }
 }
 
-/// Vertices an optimized SETPOINTERS launch covers.
+/// Vertices a SETPOINTERS launch covers.
 #[derive(Clone, Copy, Debug)]
 pub enum PointingWork<'a> {
     /// Every vertex of the batch range (first iteration, or frontier
-    /// tracking disabled).
+    /// tracking disabled). The launch lists the range's live vertices
+    /// from the availability lane and the retirement flags, then runs as
+    /// [`Live`](PointingWork::Live).
     Full,
+    /// The full launch given the batch's slice of a live list: absolute
+    /// vertex ids in ascending order, inside the batch range, holding at
+    /// least every vertex of the range that is neither matched nor
+    /// retired. Billed exactly as [`Full`](PointingWork::Full): each
+    /// listed live vertex is scanned on the batch's warp grid, and every
+    /// warp without one is billed in closed form (launched, 8 B read per
+    /// vertex, nothing else).
+    Live(&'a [VertexId]),
     /// A frontier worklist: absolute vertex ids in ascending order, all
     /// inside the batch range.
     Worklist(&'a [VertexId]),
@@ -121,8 +148,9 @@ type Outcome = (VertexId, u64, u64, u64);
 ///   with no available neighbor can never match and is skipped in later
 ///   iterations (LD-SEQ's "remove from G") when `retire` is on.
 ///
-/// The same launch as [`set_pointers_scan`] with [`Scan::Full`] over
-/// [`PointingWork::Full`], which is how the driver runs it.
+/// [`set_pointers_scan`] with [`Scan::Full`] over [`PointingWork::Full`];
+/// the driver runs the same launch over its live lists
+/// ([`PointingWork::Live`]).
 pub fn set_pointers_batch(
     g: &CsrGraph,
     batch: &VertexRange,
@@ -132,129 +160,17 @@ pub fn set_pointers_batch(
     vertices_per_warp: usize,
     retire: bool,
 ) -> PointingResult {
-    let lanes = (g.adjacency(), g.weight_array());
-    point_full(
+    set_pointers_scan(
         g,
-        lanes,
-        full_scan,
+        Scan::Full,
         batch,
+        PointingWork::Full,
         avail,
         pointers_batch,
         retired_batch,
         vertices_per_warp,
         retire,
     )
-}
-
-/// The shared full-range launch: every batch vertex, warps grouped into
-/// [`TASK_VERTICES`]-sized parallel tasks, per-warp stats preserved.
-/// `scan` is fixed per launch, so each scan mode compiles to its own
-/// per-vertex loop.
-#[allow(clippy::too_many_arguments)]
-fn point_full<S>(
-    g: &CsrGraph,
-    lanes: (&[VertexId], &[Weight]),
-    scan: S,
-    batch: &VertexRange,
-    avail: &[u8],
-    pointers_batch: &mut [u64],
-    retired_batch: &mut [u8],
-    vertices_per_warp: usize,
-    retire: bool,
-) -> PointingResult
-where
-    S: Fn(&[VertexId], &[Weight], &[u8]) -> Outcome + Sync,
-{
-    let nv = batch.num_vertices();
-    debug_assert_eq!(pointers_batch.len(), nv);
-    debug_assert_eq!(retired_batch.len(), nv);
-    if nv == 0 {
-        return PointingResult::default();
-    }
-    let base = batch.start;
-    let vpw = vertices_per_warp.max(1);
-    let span = TASK_VERTICES.div_ceil(vpw).max(1) * vpw;
-
-    pointers_batch
-        .par_chunks_mut(span)
-        .zip(retired_batch.par_chunks_mut(span))
-        .enumerate()
-        .map(|(t, (ptr_task, ret_task))| {
-            let mut out = PointingResult::default();
-            let task_first = base + (t * span) as VertexId;
-            for (wi, (ptr_chunk, ret_chunk)) in
-                ptr_task.chunks_mut(vpw).zip(ret_task.chunks_mut(vpw)).enumerate()
-            {
-                let first = task_first + (wi * vpw) as VertexId;
-                out.merge(&point_warp(g, lanes, &scan, first, ptr_chunk, ret_chunk, avail, retire));
-            }
-            out
-        })
-        .reduce(PointingResult::default, |mut a, b| {
-            a.merge(&b);
-            a
-        })
-}
-
-/// One warp's launch over the contiguous vertices
-/// `[first, first + ptr_chunk.len())`: a single slice of the id/weight
-/// lanes covers the whole warp, and a running cursor replaces per-vertex
-/// offset slicing. Closes out the warp's [`KernelStats`].
-#[allow(clippy::too_many_arguments)]
-fn point_warp<S>(
-    g: &CsrGraph,
-    lanes: (&[VertexId], &[Weight]),
-    scan: &S,
-    first: VertexId,
-    ptr_chunk: &mut [u64],
-    ret_chunk: &mut [u8],
-    avail: &[u8],
-    retire: bool,
-) -> PointingResult
-where
-    S: Fn(&[VertexId], &[Weight], &[u8]) -> Outcome,
-{
-    let len = ptr_chunk.len();
-    let offsets = g.offsets();
-    let edge_lo = offsets[first as usize] as usize;
-    let edge_hi = offsets[first as usize + len] as usize;
-    let ids = &lanes.0[edge_lo..edge_hi];
-    let ws = &lanes.1[edge_lo..edge_hi];
-
-    let mut r = PointingResult {
-        stats: KernelStats { warps_launched: 1, vertices: len as u64, ..Default::default() },
-        ..Default::default()
-    };
-    let mut warp_edges: u64 = 0;
-    let mut warp_waves: u64 = 0;
-    let mut processed: u64 = 0;
-    let mut cur = 0usize;
-    for (i, ptr) in ptr_chunk.iter_mut().enumerate() {
-        let u = first + i as VertexId;
-        let deg = (offsets[u as usize + 1] - offsets[u as usize]) as usize;
-        let at = cur;
-        cur += deg; // advance past skipped vertices too
-        if avail[u as usize] == 0 || ret_chunk[i] != 0 {
-            continue; // matched or retired: early exit
-        }
-        processed += 1;
-        let (best, scanned, waves, skipped) = scan(&ids[at..at + deg], &ws[at..at + deg], avail);
-        warp_edges += scanned;
-        warp_waves += waves;
-        r.edges_skipped += skipped;
-        if best != VertexId::MAX {
-            *ptr = best as u64;
-            r.pointers_set += 1;
-        } else {
-            *ptr = NONE_SENTINEL;
-            if retire {
-                ret_chunk[i] = 1;
-                r.vertices_retired += 1;
-            }
-        }
-    }
-    fill_warp_stats(&mut r.stats, processed, warp_edges, warp_waves, 0);
-    r
 }
 
 /// The default kernel's scan of one list: the packed-key argmax over
@@ -342,9 +258,8 @@ pub fn set_pointers_opt(
     )
 }
 
-/// Optimized SETPOINTERS: [`set_pointers_batch`] with an optional early
-/// exit (`scan`) and an optional frontier worklist (compacted launch over
-/// re-pointing vertices only).
+/// SETPOINTERS with a scan mode (`scan`: the full scan or an early exit)
+/// over a full launch or a frontier worklist (`work`).
 ///
 /// Selection is bit-identical to the default kernel: every mode selects
 /// the [`prefer`](crate::matching::prefer) argmax, and a worklist launch
@@ -366,23 +281,24 @@ pub fn set_pointers_scan(
     retire: bool,
 ) -> PointingResult {
     let csr = (g.adjacency(), g.weight_array());
-    let launch = Launch { g, batch, work, avail, vpw: vertices_per_warp.max(1), retire };
-    match scan {
-        Scan::Full => launch.run(csr, full_scan, pointers_batch, retired_batch),
-        Scan::Ranked => launch.run(csr, ranked_scan, pointers_batch, retired_batch),
+    let launch = Launch { g, batch, avail, vpw: vertices_per_warp.max(1), retire };
+    let out = match scan {
+        Scan::Full => launch.run(csr, full_scan, work, pointers_batch, retired_batch),
+        Scan::Ranked => launch.run(csr, ranked_scan, work, pointers_batch, retired_batch),
         Scan::Sorted(idx) => {
             let lanes = (idx.adjacency(), idx.weight_array());
-            launch.run(lanes, sorted_scan, pointers_batch, retired_batch)
+            launch.run(lanes, sorted_scan, work, pointers_batch, retired_batch)
         }
-    }
+    };
+    debug_assert!(out.stats.warp_edges_sumsq < EXACT_F64_INTEGERS, "inexact warp_edges_sumsq");
+    out
 }
 
-/// The arguments of one optimized launch that do not depend on the scan
-/// mode.
+/// The arguments of one launch that do not depend on the scan mode or
+/// the vertices covered.
 struct Launch<'a> {
     g: &'a CsrGraph,
     batch: &'a VertexRange,
-    work: PointingWork<'a>,
     avail: &'a [u8],
     vpw: usize,
     retire: bool,
@@ -395,73 +311,177 @@ impl Launch<'_> {
         &self,
         lanes: (&[VertexId], &[Weight]),
         scan: S,
+        work: PointingWork<'_>,
         pointers_batch: &mut [u64],
         retired_batch: &mut [u8],
     ) -> PointingResult
     where
         S: Fn(&[VertexId], &[Weight], &[u8]) -> Outcome + Sync,
     {
-        let Launch { g, batch, work, avail, vpw, retire } = *self;
+        let Launch { g, batch, avail, vpw, .. } = *self;
         debug_assert_eq!(lanes.0.len(), g.num_directed_edges(), "lanes of another graph");
         debug_assert_eq!(pointers_batch.len(), batch.num_vertices());
         debug_assert_eq!(retired_batch.len(), batch.num_vertices());
-        let worklist = match work {
+        match work {
             PointingWork::Full => {
-                return point_full(
-                    g,
-                    lanes,
-                    scan,
-                    batch,
-                    avail,
-                    pointers_batch,
-                    retired_batch,
-                    vpw,
-                    retire,
-                )
+                let live: Vec<VertexId> = (batch.start..batch.end)
+                    .filter(|&u| {
+                        avail[u as usize] != 0 && retired_batch[(u - batch.start) as usize] == 0
+                    })
+                    .collect();
+                self.live(lanes, &scan, &live, pointers_batch, retired_batch)
             }
-            PointingWork::Worklist(w) => w,
-        };
-        let offsets = g.offsets();
-        let mut out = PointingResult::default();
-        // Frontier launches are small; warp groups are processed
-        // sequentially per device (devices parallelize above).
-        for chunk in worklist.chunks(vpw) {
-            let mut stats = KernelStats { warps_launched: 1, ..Default::default() };
-            let mut warp_edges: u64 = 0;
-            let mut warp_waves: u64 = 0;
-            let mut processed: u64 = 0;
-            let mut r = PointingResult::default();
-            for &u in chunk {
-                debug_assert!(batch.start <= u && u < batch.end, "worklist outside batch");
-                let i = (u - batch.start) as usize;
-                stats.vertices += 1;
-                if avail[u as usize] == 0 || retired_batch[i] != 0 {
-                    continue;
-                }
-                processed += 1;
-                let (lo, hi) = (offsets[u as usize] as usize, offsets[u as usize + 1] as usize);
-                let (best, scanned, waves, skipped) =
-                    scan(&lanes.0[lo..hi], &lanes.1[lo..hi], avail);
-                warp_edges += scanned;
-                warp_waves += waves;
-                r.edges_skipped += skipped;
-                if best != VertexId::MAX {
-                    pointers_batch[i] = best as u64;
-                    r.pointers_set += 1;
-                } else {
-                    pointers_batch[i] = NONE_SENTINEL;
-                    if retire {
-                        retired_batch[i] = 1;
-                        r.vertices_retired += 1;
-                    }
-                }
+            PointingWork::Live(live) => {
+                self.live(lanes, &scan, live, pointers_batch, retired_batch)
             }
-            // 4 extra bytes per vertex: the worklist read.
-            fill_warp_stats(&mut stats, processed, warp_edges, warp_waves, 4);
-            r.stats = stats;
-            out.merge(&r);
+            PointingWork::Worklist(worklist) => {
+                // Frontier launches are small; warp groups are processed
+                // sequentially per device (devices parallelize above).
+                debug_assert!(
+                    worklist.iter().all(|&u| batch.contains(u)),
+                    "worklist outside batch"
+                );
+                let (ptrs, ret) = (pointers_batch, retired_batch);
+                let mut out = PointingResult::default();
+                for chunk in worklist.chunks(vpw) {
+                    // One slot per entry, each billed its 4 B worklist read.
+                    let slots = chunk.len() as u64;
+                    out.merge(&self.warp(lanes, &scan, chunk, batch.start, ptrs, ret, slots, 4));
+                }
+                out
+            }
         }
+    }
+
+    /// A full launch over the batch's live list `live`: the list is cut
+    /// into parallel tasks of about [`TASK_VERTICES`] entries at warp
+    /// boundaries, each task owning the pointer and retirement slices of
+    /// its warps; every warp of the batch's `vpw` grid with a listed
+    /// vertex runs [`Launch::warp`], and the warps without one are billed
+    /// in closed form.
+    fn live<S>(
+        &self,
+        lanes: (&[VertexId], &[Weight]),
+        scan: &S,
+        live: &[VertexId],
+        pointers_batch: &mut [u64],
+        retired_batch: &mut [u8],
+    ) -> PointingResult
+    where
+        S: Fn(&[VertexId], &[Weight], &[u8]) -> Outcome + Sync,
+    {
+        let (start, vpw) = (self.batch.start, self.vpw);
+        let nv = self.batch.num_vertices();
+        if nv == 0 {
+            return PointingResult::default();
+        }
+        debug_assert!(live.windows(2).all(|w| w[0] < w[1]), "live list not ascending");
+        debug_assert!(live.iter().all(|&u| self.batch.contains(u)), "live list outside batch");
+        // The first vertex (batch offset) of the warp holding `u`, and the
+        // vertex id one past that warp.
+        let warp_base = |u: VertexId| (u - start) as usize / vpw * vpw;
+        let warp_end = |u: VertexId| start + (warp_base(u) + vpw) as VertexId;
+
+        let mut tasks = Vec::with_capacity(live.len().div_ceil(TASK_VERTICES));
+        let (mut ptr_rest, mut ret_rest) = (pointers_batch, retired_batch);
+        let (mut first, mut rest) = (0usize, live);
+        while !rest.is_empty() {
+            // Take about TASK_VERTICES entries, then the rest of the last
+            // entry's warp.
+            let take = if rest.len() > TASK_VERTICES {
+                let end = warp_end(rest[TASK_VERTICES - 1]);
+                TASK_VERTICES + rest[TASK_VERTICES..].partition_point(|&v| v < end)
+            } else {
+                rest.len()
+            };
+            let (list, next) = rest.split_at(take);
+            let end = next.first().map_or(nv, |&u| warp_base(u));
+            let (ptrs, ptr_next) = std::mem::take(&mut ptr_rest).split_at_mut(end - first);
+            let (ret, ret_next) = std::mem::take(&mut ret_rest).split_at_mut(end - first);
+            tasks.push((list, start + first as VertexId, ptrs, ret));
+            (ptr_rest, ret_rest, first, rest) = (ptr_next, ret_next, end, next);
+        }
+
+        let mut out = tasks
+            .into_par_iter()
+            .map(|(list, base, ptrs, ret)| {
+                let mut out = PointingResult::default();
+                let mut rest = list;
+                while let Some(&u) = rest.first() {
+                    let end = warp_end(u);
+                    let len = rest.iter().position(|&v| v >= end).unwrap_or(rest.len());
+                    let (here, next) = rest.split_at(len);
+                    let slots = vpw.min(nv - warp_base(u)) as u64;
+                    out.merge(&self.warp(lanes, scan, here, base, ptrs, ret, slots, 0));
+                    rest = next;
+                }
+                out
+            })
+            .reduce(PointingResult::default, |mut a, b| {
+                a.merge(&b);
+                a
+            });
+        // Every other warp of the grid has no live vertex: it launches,
+        // reads its vertices' offsets and exits.
+        let idle = nv as u64 - out.stats.vertices;
+        out.stats.warps_launched = nv.div_ceil(vpw) as u64;
+        out.stats.vertices = nv as u64;
+        out.stats.bytes_read += 8 * idle;
         out
+    }
+
+    /// One warp of `vertices` slots over its listed vertices `list`
+    /// (ascending; `pointers`/`retired` start at vertex `base`): each
+    /// live one sets its pointer to its argmax, or to the sentinel and —
+    /// when `retire` is on — retires when no neighbor is available.
+    /// Closes out the warp's [`KernelStats`], `extra` bytes of worklist
+    /// read billed per slot.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn warp<S>(
+        &self,
+        lanes: (&[VertexId], &[Weight]),
+        scan: &S,
+        list: &[VertexId],
+        base: VertexId,
+        pointers: &mut [u64],
+        retired: &mut [u8],
+        vertices: u64,
+        extra: u64,
+    ) -> PointingResult
+    where
+        S: Fn(&[VertexId], &[Weight], &[u8]) -> Outcome,
+    {
+        let (offsets, avail) = (self.g.offsets(), self.avail);
+        let mut r = PointingResult {
+            stats: KernelStats { warps_launched: 1, vertices, ..Default::default() },
+            ..Default::default()
+        };
+        let (mut processed, mut warp_edges, mut warp_waves) = (0u64, 0u64, 0u64);
+        for &u in list {
+            let i = (u - base) as usize;
+            if avail[u as usize] == 0 || retired[i] != 0 {
+                continue; // matched or retired: early exit
+            }
+            processed += 1;
+            let (lo, hi) = (offsets[u as usize] as usize, offsets[u as usize + 1] as usize);
+            let (best, scanned, waves, skipped) = scan(&lanes.0[lo..hi], &lanes.1[lo..hi], avail);
+            warp_edges += scanned;
+            warp_waves += waves;
+            r.edges_skipped += skipped;
+            if best != VertexId::MAX {
+                pointers[i] = best as u64;
+                r.pointers_set += 1;
+            } else {
+                pointers[i] = NONE_SENTINEL;
+                if self.retire {
+                    retired[i] = 1;
+                    r.vertices_retired += 1;
+                }
+            }
+        }
+        fill_warp_stats(&mut r.stats, processed, warp_edges, warp_waves, extra);
+        r
     }
 }
 
@@ -581,37 +601,70 @@ fn fill_warp_stats(
 /// newly matched vertex (the lane stays in lock-step with the mate array
 /// without a separate sweep). Returns launch statistics and the number
 /// of newly matched *edges*.
+///
+/// The driver's live-list pass over one list of every available vertex,
+/// none retired.
 pub fn set_mates(pointers: &[u64], mate: &mut [u64], avail: &mut [u8]) -> (KernelStats, u64) {
     let n = mate.len();
+    let whole = VertexRange { start: 0, end: n as VertexId, edge_start: 0, edge_end: 0 };
+    let mut live = [(0..n as VertexId).filter(|&u| avail[u as usize] != 0).collect()];
+    set_mates_live(pointers, &vec![0; n], &[whole], &mut live, None, mate, avail)
+}
+
+/// SETMATES over the devices' live lists. Device `d` owns the vertices
+/// of `parts[d]` (consecutive ranges from vertex 0; only their vertex
+/// bounds are read), and `live[d]` lists, ascending, every one of them
+/// that is neither matched nor retired.
+///
+/// Commits mutually pointing pairs like [`set_mates`], and in the same
+/// pass drops every listed vertex that matched or has retired and, when
+/// `frontiers` is given, refills each device's frontier with its live
+/// vertices whose pointer target matched this round. The launch is still
+/// billed as the full-`n` kernel that checks every vertex. Returns the
+/// launch statistics and the number of newly matched *edges*.
+pub(crate) fn set_mates_live(
+    pointers: &[u64],
+    retired: &[u8],
+    parts: &[VertexRange],
+    live: &mut [Vec<VertexId>],
+    frontiers: Option<&mut [Vec<VertexId>]>,
+    mate: &mut [u64],
+    avail: &mut [u8],
+) -> (KernelStats, u64) {
+    let n = mate.len();
     debug_assert_eq!(avail.len(), n);
-    let pointers = &pointers[..n];
-    let last = n.saturating_sub(1);
-    const CHUNK: usize = 1 << 15;
-    let newly: u64 = mate
-        .par_chunks_mut(CHUNK)
-        .zip(avail.par_chunks_mut(CHUNK))
-        .enumerate()
-        .map(|(c, (mchunk, achunk))| {
-            let base = c * CHUNK;
-            let own = &pointers[base..base + mchunk.len()];
-            let mut newly = 0u64;
-            for (u, ((m, a), &p)) in
-                (base as u64..).zip(mchunk.iter_mut().zip(achunk.iter_mut()).zip(own))
-            {
-                // The clamped gather keeps the indirect load in bounds
-                // without a branch; the sentinel compare rejects the
-                // clamped case before the result is used.
-                if *m == NONE_SENTINEL
-                    && p != NONE_SENTINEL
-                    && pointers[(p as usize).min(last)] == u
-                {
-                    *m = p;
-                    *a = 0;
-                    newly += 1;
-                }
-            }
-            newly
-        })
+    debug_assert_eq!(live.len(), parts.len());
+    // The frontier test reads whether a target matched from the pointers
+    // alone. That needs every live pointer to name a vertex unmatched
+    // when the pass starts, which holds because a vertex whose target
+    // matched re-points in the next frontier launch.
+    debug_assert!(
+        frontiers.is_none()
+            || live.iter().flatten().all(|&u| {
+                let p = pointers[u as usize];
+                p == NONE_SENTINEL || avail[p as usize] != 0
+            }),
+        "a live pointer names a matched vertex"
+    );
+    let mut frontiers = frontiers.map(|f| f.iter_mut());
+    let mut tasks = Vec::with_capacity(parts.len());
+    let (mut mate_rest, mut avail_rest) = (mate, avail);
+    for (part, list) in parts.iter().zip(live.iter_mut()) {
+        let (m, m_next) = std::mem::take(&mut mate_rest).split_at_mut(part.num_vertices());
+        let (a, a_next) = std::mem::take(&mut avail_rest).split_at_mut(part.num_vertices());
+        (mate_rest, avail_rest) = (m_next, a_next);
+        // Frontier room is reserved here, on the calling thread: the pass
+        // only shrinks the list and fills the frontier up to its length.
+        let mut front = frontiers.as_mut().and_then(Iterator::next);
+        if let Some(f) = front.as_deref_mut() {
+            f.clear();
+            f.reserve(list.len());
+        }
+        tasks.push((part.start, list, front, m, a));
+    }
+    let newly: u64 = tasks
+        .into_par_iter()
+        .map(|(start, list, front, m, a)| commit_live(pointers, retired, start, list, front, m, a))
         .sum();
     debug_assert_eq!(newly % 2, 0, "mutual pairs must come in twos");
     let warps = (n as u64).div_ceil(32);
@@ -629,6 +682,52 @@ pub fn set_mates(pointers: &[u64], mate: &mut [u64], avail: &mut [u8]) -> (Kerne
     };
     (stats, newly / 2)
 }
+
+/// One device's share of [`set_mates_live`]: `mate` and `avail` are the
+/// device's slices, starting at vertex `start`. Returns the vertices
+/// newly matched.
+fn commit_live(
+    pointers: &[u64],
+    retired: &[u8],
+    start: VertexId,
+    list: &mut Vec<VertexId>,
+    mut frontier: Option<&mut Vec<VertexId>>,
+    mate: &mut [u64],
+    avail: &mut [u8],
+) -> u64 {
+    // Whether `u` and its pointer `p` point at each other. The clamped
+    // gather keeps the indirect load in bounds without a branch; the
+    // sentinel compare rejects the clamped case before the result is used.
+    let last = pointers.len().saturating_sub(1);
+    let mutual = |u: u64, p: u64| p != NONE_SENTINEL && pointers[(p as usize).min(last)] == u;
+    let mut newly = 0u64;
+    let mut kept = 0usize;
+    for k in 0..list.len() {
+        let u = list[k];
+        let p = pointers[u as usize];
+        if mutual(u as u64, p) {
+            let i = (u - start) as usize;
+            mate[i] = p;
+            avail[i] = 0;
+            newly += 1;
+        } else if retired[u as usize] == 0 {
+            list[kept] = u;
+            kept += 1;
+            // `p` was unmatched when the pass started, so it matched now
+            // exactly when its own pointer is mutual.
+            if let Some(f) = frontier.as_deref_mut() {
+                if p != NONE_SENTINEL && mutual(p, pointers[p as usize]) {
+                    f.push(u);
+                }
+            }
+        }
+    }
+    list.truncate(kept);
+    newly
+}
+
+#[cfg(test)]
+mod live_tests;
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,14 @@
 //! [`set_mates`](super::set_mates) keeps it in sync as pairs commit, and
 //! [`Scratch::sync_avail`] rebuilds it wholesale after external mate
 //! edits (dynamic deltas, partial probes).
+//!
+//! The **live lists** are the only vertices the LD driver's host passes
+//! walk: per device, the ascending ids of its vertices that are neither
+//! matched nor retired. They start as every partition vertex, and each
+//! SETMATES pass drops the vertices that matched or retired, so every
+//! liveness decision of a run — which vertices a full SETPOINTERS launch
+//! scans, which the streaming band walk starts from, which SETMATES
+//! checks — comes from this one source.
 
 use ldgm_gpusim::{CommChunk, NONE_SENTINEL};
 use ldgm_graph::csr::{CsrGraph, VertexId};
@@ -27,8 +35,11 @@ use ldgm_graph::csr::{CsrGraph, VertexId};
 pub struct Scratch {
     /// The SoA availability lane: `avail[v] != 0` ⇔ `v` is unmatched.
     pub(crate) avail: Vec<u8>,
+    /// Per-device live lists: the ascending ids of the device's vertices
+    /// that are neither matched nor retired (see the module docs).
+    pub(crate) live: Vec<Vec<VertexId>>,
     /// Per-device frontier worklists (ascending vertex ids inside the
-    /// device's partition range), rebuilt in place each iteration.
+    /// device's partition range), refilled by each SETMATES pass.
     pub frontiers: Vec<Vec<VertexId>>,
     /// Per-device overlap staging: one `(payload_bytes, ready_time)`
     /// entry per batch whose collective slice became reducible.
