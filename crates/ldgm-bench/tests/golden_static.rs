@@ -3,9 +3,14 @@
 //!
 //! On six stand-ins with both long and short adjacency lists, the sixteen
 //! `sorted_index × frontier × sparse_collectives × overlap` combinations
-//! run at 1 and 4 scaled DGX-A100 devices and at 4 devices on a two-node
-//! cluster (topology-aware placement), plus one out-of-core streaming run
-//! per stand-in, all with the trace on. A line records the simulated
+//! run at 1 and 4 scaled DGX-A100 devices, at 4 devices on a two-node
+//! cluster (topology-aware placement) and at 4 devices with an explicit
+//! three-batch plan, plus one out-of-core streaming run and one run of the
+//! cuGraph-style baseline per stand-in, all with the trace on. The
+//! three-batch runs pin the batch walk's per-iteration copies and host
+//! syncs, its per-batch overlap slices, its frontier batch slices and its
+//! skipped batches; the cuGraph run pins retirement off, MPI-staged
+//! collectives and the kernel-overhead factor. A line records the simulated
 //! time's bits, the iteration count and FNV-1a hashes of the mate array,
 //! the phase breakdown, `metrics.to_json()` and the Chrome trace, so a
 //! refactor of the driver, the kernels or the billing that changes any
@@ -19,6 +24,7 @@ mod common;
 
 use common::{check_digest, fnv, on_two_threads};
 use ldgm_bench::datasets::{by_name, scaled_platform};
+use ldgm_core::cugraph_sim::cugraph_sim_traced;
 use ldgm_core::ld_gpu::{LdGpu, LdGpuConfig, LdGpuOutput};
 use ldgm_gpusim::{chrome_trace_json, Link, Platform};
 use ldgm_graph::CsrGraph;
@@ -33,6 +39,9 @@ const STAND_INS: [&str; 6] =
 const STREAM_DEVICES: usize = 2;
 /// Resident window of the streaming run, in bands.
 const STREAM_WINDOW: usize = 4;
+/// Batches per device of the batched runs: more than the two stream
+/// buffers, so every iteration re-streams and host-syncs each batch.
+const BATCHES: usize = 3;
 
 /// Where a run executes.
 #[derive(Clone, Copy)]
@@ -45,6 +54,11 @@ enum Setup {
     /// Out-of-core streaming with the `ld-gpu-opt` layers and overlap on,
     /// at a budget below the single-batch footprint.
     Stream,
+    /// Four scaled DGX-A100 devices with an explicit [`BATCHES`]-batch
+    /// plan.
+    Batched,
+    /// The cuGraph-style baseline at four scaled DGX-A100 devices.
+    CuGraph,
 }
 
 /// One run of the corpus: a stand-in, a setup and the four toggles
@@ -64,6 +78,8 @@ fn jobs() -> Vec<Job> {
             out.extend((0..16).map(|toggles| Job { graph, setup, toggles }));
         }
         out.push(Job { graph, setup: Setup::Stream, toggles: 0b1111 });
+        out.extend((0..16).map(|toggles| Job { graph, setup: Setup::Batched, toggles }));
+        out.push(Job { graph, setup: Setup::CuGraph, toggles: 0 });
     }
     out
 }
@@ -86,7 +102,16 @@ fn stream_budget(g: &CsrGraph) -> u64 {
     budget
 }
 
-/// The configuration of one job.
+/// Run one job.
+fn run(job: Job, g: &CsrGraph) -> LdGpuOutput {
+    let out = match job.setup {
+        Setup::CuGraph => cugraph_sim_traced(g, &scaled_platform(Platform::dgx_a100()), 4, true),
+        _ => LdGpu::new(config(job, g)).try_run(g),
+    };
+    out.expect("corpus runs are feasible")
+}
+
+/// The configuration of one LD-GPU job.
 fn config(job: Job, g: &CsrGraph) -> LdGpuConfig {
     let a100 = scaled_platform(Platform::dgx_a100());
     let b = match job.setup {
@@ -100,6 +125,8 @@ fn config(job: Job, g: &CsrGraph) -> LdGpuConfig {
             .streaming(true)
             .mem_budget(stream_budget(g))
             .stream_window(STREAM_WINDOW),
+        Setup::Batched => LdGpuConfig::builder(a100).devices(4).batches(BATCHES),
+        Setup::CuGraph => unreachable!("the cuGraph baseline builds its own config"),
     };
     b.sorted_index(job.toggles & 1 != 0)
         .frontier(job.toggles & 2 != 0)
@@ -116,6 +143,8 @@ fn line(job: Job, out: &LdGpuOutput) -> String {
         Setup::Flat(d) => format!("dgx-a100 x{d}"),
         Setup::Cluster => "2-node x4".to_string(),
         Setup::Stream => format!("stream x{STREAM_DEVICES}"),
+        Setup::Batched => format!("dgx-a100 x4 b{BATCHES}"),
+        Setup::CuGraph => "cugraph x4".to_string(),
     };
     let names = ["sorted", "frontier", "sparse", "overlap"];
     let on: Vec<&str> = (0..4).filter(|b| job.toggles >> b & 1 != 0).map(|b| names[b]).collect();
@@ -148,9 +177,7 @@ fn static_driver_matches_the_golden_corpus() {
     let jobs = jobs();
     let lines = on_two_threads(jobs.len(), |i| {
         let job = jobs[i];
-        let g = &graphs[job.graph];
-        let out = LdGpu::new(config(job, g)).try_run(g).expect("corpus runs are feasible");
-        line(job, &out)
+        line(job, &run(job, &graphs[job.graph]))
     });
     check_digest("golden_static.digest", &lines);
 }
