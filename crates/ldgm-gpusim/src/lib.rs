@@ -62,5 +62,5 @@ pub use platform::Platform;
 pub use profile::{IterationRecord, PhaseBreakdown, RunProfile};
 pub use report::RunReport;
 pub use runtime::{CommChunk, DeviceCtx, KernelLaunch, RunFinish, SimRuntime};
-pub use timer::{run_collective, DeviceTimer};
+pub use timer::DeviceTimer;
 pub use trace::{EventKind, Trace, TraceEvent};

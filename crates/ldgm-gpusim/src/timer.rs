@@ -170,18 +170,6 @@ impl DeviceTimer {
     }
 }
 
-/// Run a barrier collective across `timers`: all devices drain, the
-/// operation costs `cost` seconds, and every timeline is aligned to the
-/// common completion point. Returns `(start, end)`.
-pub fn run_collective(timers: &mut [DeviceTimer], cost: f64) -> (f64, f64) {
-    let start = timers.iter().map(DeviceTimer::horizon).fold(0.0_f64, f64::max);
-    let end = start + cost;
-    for t in timers.iter_mut() {
-        t.align_to(end);
-    }
-    (start, end)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,20 +241,6 @@ mod tests {
         t.schedule_h2d(0, 10_000_000_000, &L); // copy busy until 10
         let (s, e) = t.schedule_kernel_global(1.0);
         assert_eq!((s, e), (0.0, 1.0));
-    }
-
-    #[test]
-    fn collective_aligns_all_devices() {
-        let mut a = DeviceTimer::new();
-        a.schedule_kernel_global(2.0);
-        let mut b = DeviceTimer::new();
-        b.schedule_kernel_global(5.0);
-        let mut ts = [a, b];
-        let (start, end) = run_collective(&mut ts, 1.0);
-        assert_eq!(start, 5.0);
-        assert_eq!(end, 6.0);
-        assert_eq!(ts[0].now(), 6.0);
-        assert_eq!(ts[1].now(), 6.0);
     }
 
     #[test]
