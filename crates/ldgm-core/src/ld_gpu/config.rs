@@ -16,9 +16,6 @@ pub struct LdGpuConfig {
     /// double-buffered footprint fits device memory — the paper's default
     /// policy ("we attempt to minimize the number of batches").
     pub batches: Option<usize>,
-    /// Vertices assigned to each warp in the pointing kernel; `None`
-    /// derives it from the device's resident-warp capacity.
-    pub vertices_per_warp: Option<usize>,
     /// Retire vertices whose neighborhoods are exhausted (LD-GPU behaviour;
     /// the cuGraph-style baseline disables this and rescans every vertex
     /// each iteration).
@@ -103,7 +100,6 @@ impl LdGpuConfig {
             platform,
             devices: 1,
             batches: None,
-            vertices_per_warp: None,
             retire_exhausted: true,
             kernel_overhead: 1.0,
             collect_iterations: true,
@@ -198,12 +194,6 @@ impl LdGpuConfig {
         self
     }
 
-    /// Fix the vertices-per-warp work distribution.
-    pub fn vertices_per_warp(mut self, v: usize) -> Self {
-        self.vertices_per_warp = Some(v.max(1));
-        self
-    }
-
     /// Disable per-iteration profiling.
     pub fn without_iteration_profile(mut self) -> Self {
         self.collect_iterations = false;
@@ -242,12 +232,6 @@ impl LdGpuConfigBuilder {
     /// Fix the batch count per device (validated: must be ≥ 1).
     pub fn batches(mut self, b: usize) -> Self {
         self.cfg.batches = Some(b);
-        self
-    }
-
-    /// Fix the vertices-per-warp work distribution (validated: ≥ 1).
-    pub fn vertices_per_warp(mut self, v: usize) -> Self {
-        self.cfg.vertices_per_warp = Some(v);
         self
     }
 
@@ -350,9 +334,6 @@ impl LdGpuConfigBuilder {
         }
         if c.batches == Some(0) {
             return bad("batches must be >= 1 when fixed".into());
-        }
-        if c.vertices_per_warp == Some(0) {
-            return bad("vertices_per_warp must be >= 1 when fixed".into());
         }
         if c.probe_iterations == Some(0) {
             return bad("probe_iterations must be >= 1 when set".into());
@@ -496,9 +477,6 @@ mod tests {
         };
         assert!(invalid(LdGpuConfig::builder(p()).devices(0)).contains("devices"));
         assert!(invalid(LdGpuConfig::builder(p()).batches(0)).contains("batches"));
-        assert!(
-            invalid(LdGpuConfig::builder(p()).vertices_per_warp(0)).contains("vertices_per_warp")
-        );
         assert!(invalid(LdGpuConfig::builder(p()).kernel_overhead(0.0)).contains("kernel_overhead"));
         assert!(invalid(LdGpuConfig::builder(p()).kernel_overhead(f64::NAN))
             .contains("kernel_overhead"));
