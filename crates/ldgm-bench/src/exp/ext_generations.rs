@@ -33,7 +33,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
         let mut base: Option<f64> = None;
         for (platform, ndev) in &platforms {
             let p = scaled_platform(platform.clone());
-            let cfg = LdGpuConfig::new(p).devices(*ndev).without_iteration_profile();
+            let cfg = LdGpuConfig::new(p).devices(*ndev);
             let Ok(out) = LdGpu::new(cfg).try_run(&g) else {
                 continue;
             };

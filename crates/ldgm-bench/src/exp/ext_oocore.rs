@@ -186,21 +186,12 @@ pub fn run_on(datasets: &[Dataset], w: &mut dyn Write) -> io::Result<Vec<OocReco
         let shrunk = reference.clone().with_device_memory(mem_bytes);
 
         // The in-memory reference (auto batch plan, full scaled memory).
-        let base_cfg = LdGpuConfig::builder(reference.clone())
-            .devices(DEVICES)
-            .build()
-            .expect("reference config is valid");
+        let base_cfg = LdGpuConfig::new(reference.clone()).devices(DEVICES);
         let base = LdGpu::new(base_cfg).try_run(&g).map_err(io::Error::other)?;
 
         // The whole-graph plan must refuse at the shrunken capacity.
-        let whole = LdGpu::new(
-            LdGpuConfig::builder(shrunk.clone())
-                .devices(DEVICES)
-                .batches(1)
-                .build()
-                .expect("whole-graph config is valid"),
-        )
-        .try_run(&g);
+        let whole =
+            LdGpu::new(LdGpuConfig::new(shrunk.clone()).devices(DEVICES).batches(1)).try_run(&g);
         let (refused, refusal) = match whole {
             Err(e) => (true, e.to_string()),
             Ok(_) => (false, String::new()),
@@ -209,12 +200,10 @@ pub fn run_on(datasets: &[Dataset], w: &mut dyn Write) -> io::Result<Vec<OocReco
         let mut windows = Vec::new();
         let mut streamed_best: Option<LdGpuOutput> = None;
         for &window in WINDOW_SWEEP {
-            let cfg = LdGpuConfig::builder(shrunk.clone())
+            let cfg = LdGpuConfig::new(shrunk.clone())
                 .devices(DEVICES)
-                .streaming(true)
-                .stream_window(window)
-                .build()
-                .expect("streaming config is valid");
+                .with_streaming(true)
+                .with_stream_window(window);
             let out = match LdGpu::new(cfg).try_run(&g) {
                 Ok(out) => out,
                 Err(e) => {

@@ -251,10 +251,7 @@ pub fn run_on(datasets: &[Dataset], w: &mut dyn Write) -> io::Result<Vec<Scaling
         let g = ds.build();
         for (pname, platform, devices) in device_sweep() {
             for &dev in &devices {
-                let cfg = LdGpuConfig::builder(platform.clone())
-                    .devices(dev)
-                    .build()
-                    .expect("device sweep counts are positive");
+                let cfg = LdGpuConfig::new(platform.clone()).devices(dev);
                 let ser = match run_mode(&g, cfg.clone()) {
                     Ok(out) => out,
                     Err(e) => {
@@ -347,10 +344,7 @@ pub fn run_cluster_on(
     let mut records = Vec::new();
     for ds in datasets {
         let g = ds.build();
-        let ref_cfg = LdGpuConfig::builder(scaled_platform(Platform::dgx_a100()))
-            .devices(8)
-            .build()
-            .expect("reference device count is positive");
+        let ref_cfg = LdGpuConfig::new(scaled_platform(Platform::dgx_a100())).devices(8);
         let reference = match run_mode(&g, ref_cfg) {
             Ok(out) => out,
             Err(e) => {
@@ -362,10 +356,7 @@ pub fn run_cluster_on(
             let ndev = nodes * gpn;
             let platform =
                 scaled_platform(Platform::dgx_a100().clustered(nodes, gpn, Link::INFINIBAND_HDR));
-            let hier_cfg = LdGpuConfig::builder(platform.clone())
-                .devices(ndev)
-                .build()
-                .expect("cluster shapes have positive device counts");
+            let hier_cfg = LdGpuConfig::new(platform.clone()).devices(ndev);
             let hier = match run_mode(&g, hier_cfg.clone()) {
                 Ok(out) => out,
                 Err(e) => {
@@ -373,10 +364,7 @@ pub fn run_cluster_on(
                     continue;
                 }
             };
-            let flat_cfg = LdGpuConfig::builder(platform.clone().flattened())
-                .devices(ndev)
-                .build()
-                .expect("cluster shapes have positive device counts");
+            let flat_cfg = LdGpuConfig::new(platform.clone().flattened()).devices(ndev);
             let flat = run_mode(&g, flat_cfg).expect("same memory plan as the hierarchical run");
             let aware = run_mode(&g, hier_cfg.with_topology_placement(true))
                 .expect("placement only changes billing, not the memory plan");

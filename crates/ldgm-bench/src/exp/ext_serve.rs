@@ -363,10 +363,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn service_for(name: &str, g: CsrGraph, coalesce_target: usize) -> Arc<MatchService> {
-    let dyn_cfg = DynConfig::builder(scaled_platform(Platform::dgx_a100()))
-        .devices(DEVICES)
-        .build()
-        .expect("device count is positive");
+    let dyn_cfg = DynConfig::new(scaled_platform(Platform::dgx_a100())).devices(DEVICES);
     let cfg = ServeConfig {
         coalesce_target,
         deadline: Duration::from_millis(25),

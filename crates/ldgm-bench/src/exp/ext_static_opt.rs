@@ -119,11 +119,8 @@ pub fn run_on(datasets: &[Dataset], w: &mut dyn Write) -> io::Result<Vec<OptReco
         let g = ds.build();
         for &devices in DEVICE_SWEEP {
             for &batches in BATCH_SWEEP {
-                let mut b = LdGpuConfig::builder(platform.clone()).devices(devices);
-                if let Some(n) = batches {
-                    b = b.batches(n);
-                }
-                let cfg = b.build().expect("sweep points are positive");
+                let mut cfg = LdGpuConfig::new(platform.clone()).devices(devices);
+                cfg.batches = batches;
                 let def = match run_mode(&g, cfg.clone()) {
                     Ok(out) => out,
                     Err(e) => {

@@ -23,7 +23,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     for d in registry() {
         let g = d.build();
         for nd in [1usize, 4, 8] {
-            let cfg = LdGpuConfig::new(platform.clone()).devices(nd).without_iteration_profile();
+            let cfg = LdGpuConfig::new(platform.clone()).devices(nd);
             let Ok(out) = LdGpu::new(cfg).try_run(&g) else {
                 continue;
             };

@@ -38,10 +38,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
             let mut first = None;
             let mut last = None;
             for &nd in &devices {
-                let cfg = LdGpuConfig::new(platform.clone())
-                    .devices(nd)
-                    .batches(nb)
-                    .without_iteration_profile();
+                let cfg = LdGpuConfig::new(platform.clone()).devices(nd).batches(nb);
                 match LdGpu::new(cfg).try_run(&g) {
                     Ok(out) => {
                         if first.is_none() {

@@ -19,10 +19,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
         Table::new(vec!["batches", "GPUs", "point%", "match%", "allred%", "xfer%", "sync%"]);
     for &nb in super::fig6::BATCHES {
         for nd in [1usize, 2, 4, 8] {
-            let cfg = LdGpuConfig::new(platform.clone())
-                .devices(nd)
-                .batches(nb)
-                .without_iteration_profile();
+            let cfg = LdGpuConfig::new(platform.clone()).devices(nd).batches(nb);
             let Ok(out) = LdGpu::new(cfg).try_run(&g) else {
                 continue;
             };

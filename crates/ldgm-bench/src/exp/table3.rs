@@ -27,10 +27,8 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     let mut ratios = Vec::new();
     for name in GRAPHS {
         let g = by_name(name).expect("registry dataset").build();
-        let ta =
-            LdGpu::new(LdGpuConfig::new(a100.clone()).without_iteration_profile()).run(&g).sim_time;
-        let tv =
-            LdGpu::new(LdGpuConfig::new(v100.clone()).without_iteration_profile()).run(&g).sim_time;
+        let ta = LdGpu::new(LdGpuConfig::new(a100.clone())).run(&g).sim_time;
+        let tv = LdGpu::new(LdGpuConfig::new(v100.clone())).run(&g).sim_time;
         let r = tv / ta;
         ratios.push(r);
         t.row(vec![name.to_string(), format!("{ta:.5}"), format!("{tv:.5}"), format!("{r:.2}x")]);

@@ -35,9 +35,7 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(vec!["Graph", "LD-GPU", "SR-GPU", "winner"]);
     for name in GRAPHS {
         let g = by_name(name).expect("registry dataset").build();
-        let ld = LdGpu::new(LdGpuConfig::new(platform.clone()).without_iteration_profile())
-            .run(&g)
-            .sim_time;
+        let ld = LdGpu::new(LdGpuConfig::new(platform.clone())).run(&g).sim_time;
         match suitor_sim(&g, &platform) {
             Ok(sr) => {
                 let winner = if ld <= sr.sim_time { "LD-GPU" } else { "SR-GPU" };

@@ -26,11 +26,8 @@ pub fn run(w: &mut dyn Write) -> io::Result<()> {
     let mut t = Table::new(vec!["Graph", "LD-GPU", "cuGraph-sim", "LD-GPU speedup"]);
     for name in GRAPHS {
         let g = by_name(name).expect("registry dataset").build();
-        let ld = LdGpu::new(
-            LdGpuConfig::new(platform.clone()).devices(4).batches(1).without_iteration_profile(),
-        )
-        .run(&g)
-        .sim_time;
+        let ld =
+            LdGpu::new(LdGpuConfig::new(platform.clone()).devices(4).batches(1)).run(&g).sim_time;
         let cu = cugraph_sim(&g, &platform, 4).expect("cuGraph-sim feasible on SMALL").sim_time;
         t.row(vec![name.to_string(), fmt_secs(ld), fmt_secs(cu), format!("{:.1}x", cu / ld)]);
     }

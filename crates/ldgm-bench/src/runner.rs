@@ -51,28 +51,16 @@ pub fn sweep_ld_gpu(
             continue;
         }
         for &nb in batch_counts {
-            let Ok(cfg) = LdGpuConfig::builder(platform.clone())
-                .devices(nd)
-                .batches(nb)
-                .collect_iterations(false)
-                .build()
-            else {
-                continue; // degenerate sweep point (0 devices/batches)
-            };
+            let cfg = LdGpuConfig::new(platform.clone()).devices(nd).batches(nb);
             let Ok(out) = LdGpu::new(cfg).try_run(g) else {
-                continue;
+                continue; // invalid (0 devices/batches) or does not fit
             };
             if best.as_ref().is_none_or(|b| out.sim_time < b.output.sim_time) {
                 best = Some(SweepBest { devices: nd, batches: nb, output: out });
             }
         }
         // Also try the automatic (minimal) batch plan.
-        let Ok(cfg) =
-            LdGpuConfig::builder(platform.clone()).devices(nd).collect_iterations(false).build()
-        else {
-            continue;
-        };
-        if let Ok(out) = LdGpu::new(cfg).try_run(g) {
+        if let Ok(out) = LdGpu::new(LdGpuConfig::new(platform.clone()).devices(nd)).try_run(g) {
             if best.as_ref().is_none_or(|b| out.sim_time < b.output.sim_time) {
                 let batches = out.batches;
                 best = Some(SweepBest { devices: nd, batches, output: out });

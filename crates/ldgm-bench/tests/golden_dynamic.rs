@@ -76,12 +76,7 @@ fn config(job: Job) -> DynConfig {
             (scaled_platform(Platform::dgx_a100().clustered(2, 2, Link::INFINIBAND_HDR)), 4)
         }
     };
-    DynConfig::builder(platform)
-        .devices(devices)
-        .overlap(job.overlap)
-        .compact_frac(COMPACT_FRAC)
-        .build()
-        .expect("corpus configs are valid")
+    DynConfig::new(platform).devices(devices).with_overlap(job.overlap).compact_frac(COMPACT_FRAC)
 }
 
 /// The bytes of one batch report, field by field.

@@ -114,27 +114,25 @@ fn run(job: Job, g: &CsrGraph) -> LdGpuOutput {
 /// The configuration of one LD-GPU job.
 fn config(job: Job, g: &CsrGraph) -> LdGpuConfig {
     let a100 = scaled_platform(Platform::dgx_a100());
-    let b = match job.setup {
-        Setup::Flat(devices) => LdGpuConfig::builder(a100).devices(devices),
+    let cfg = match job.setup {
+        Setup::Flat(devices) => LdGpuConfig::new(a100).devices(devices),
         Setup::Cluster => {
             let two_nodes = Platform::dgx_a100().clustered(2, 2, Link::INFINIBAND_HDR);
-            LdGpuConfig::builder(scaled_platform(two_nodes)).devices(4).topology_placement(true)
+            LdGpuConfig::new(scaled_platform(two_nodes)).devices(4).with_topology_placement(true)
         }
-        Setup::Stream => LdGpuConfig::builder(a100)
+        Setup::Stream => LdGpuConfig::new(a100)
             .devices(STREAM_DEVICES)
-            .streaming(true)
-            .mem_budget(stream_budget(g))
-            .stream_window(STREAM_WINDOW),
-        Setup::Batched => LdGpuConfig::builder(a100).devices(4).batches(BATCHES),
+            .with_streaming(true)
+            .with_mem_budget(stream_budget(g))
+            .with_stream_window(STREAM_WINDOW),
+        Setup::Batched => LdGpuConfig::new(a100).devices(4).batches(BATCHES),
         Setup::CuGraph => unreachable!("the cuGraph baseline builds its own config"),
     };
-    b.sorted_index(job.toggles & 1 != 0)
-        .frontier(job.toggles & 2 != 0)
-        .sparse_collectives(job.toggles & 4 != 0)
-        .overlap(job.toggles & 8 != 0)
-        .trace(true)
-        .build()
-        .expect("corpus configs are valid")
+    cfg.with_sorted_index(job.toggles & 1 != 0)
+        .with_frontier(job.toggles & 2 != 0)
+        .with_sparse_collectives(job.toggles & 4 != 0)
+        .with_overlap(job.toggles & 8 != 0)
+        .with_trace()
 }
 
 /// The digest line of one finished run.

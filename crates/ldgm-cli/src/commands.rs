@@ -610,12 +610,10 @@ fn cmd_dynamic(args: &Args) -> Result<String, ArgError> {
     let mut registry = DynamicMatcherRegistry::with_defaults(&setup);
     // --compact-frac shapes the incremental engine; re-register it with
     // the override so the registry stays the single dispatch path.
-    let dyn_cfg = DynConfig::builder(setup.platform.clone())
+    let dyn_cfg = DynConfig::new(setup.platform.clone())
         .devices(setup.devices)
         .compact_frac(frac)
-        .overlap(setup.overlap)
-        .build()
-        .map_err(|e| ArgError(e.to_string()))?;
+        .with_overlap(setup.overlap);
     registry.register(Box::new(IncrementalMatcher::new(dyn_cfg)));
     let engine = registry.get(engine_name).ok_or_else(|| {
         ArgError(format!("unknown engine '{engine_name}' (valid: {})", registry.names().join(", ")))
@@ -751,11 +749,10 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         .get("input")
         .ok_or_else(|| ArgError("missing required option '--input FILES'".into()))?;
     let platform = parse_platform(args.get_or("platform", "dgx-a100"))?;
-    let dyn_cfg = DynConfig::builder(platform)
+    let dyn_cfg = DynConfig::new(platform)
         .devices(args.get_num("devices", 1usize)?)
-        .compact_frac(args.get_num("compact-frac", 0.25f64)?)
-        .build()
-        .map_err(|e| ArgError(e.to_string()))?;
+        .compact_frac(args.get_num("compact-frac", 0.25f64)?);
+    dyn_cfg.validate().map_err(|e| ArgError(e.to_string()))?;
     let serve_cfg = ServeConfig {
         coalesce_target: args.get_num("coalesce", 64usize)?,
         deadline: Duration::from_millis(args.get_num("deadline-ms", 10u64)?),

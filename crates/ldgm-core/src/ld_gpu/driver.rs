@@ -160,7 +160,7 @@ impl Plan {
     /// the fewest that fit device memory.
     fn new(g: &CsrGraph, cfg: &LdGpuConfig) -> Result<Self, LdGpuError> {
         let n = g.num_vertices();
-        let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
+        let ndev = cfg.devices.min(cfg.platform.max_devices);
         let partition = Partition::edge_balanced(g, ndev);
         let mem = cfg.platform.device.mem_bytes;
         let spec = &cfg.platform.device;
@@ -169,7 +169,7 @@ impl Plan {
 
         if cfg.streaming {
             let budget = cfg.mem_budget.unwrap_or(mem);
-            let window = cfg.stream_window.unwrap_or(2).max(2);
+            let window = cfg.stream_window.unwrap_or(2);
             let mut plans = Vec::with_capacity(ndev);
             for (device, part) in partition.parts.iter().enumerate() {
                 let plan = plan_substreams(g, part, n, budget, window).map_err(|e| {
@@ -557,14 +557,16 @@ impl LdGpu {
         LdGpu { cfg }
     }
 
-    /// Run on `g`, panicking on infeasible configurations.
+    /// Run on `g`, panicking on an invalid or infeasible configuration.
     pub fn run(&self, g: &CsrGraph) -> LdGpuOutput {
         self.try_run(g).expect("LD-GPU configuration infeasible")
     }
 
-    /// Run on `g`.
+    /// Run on `g`. The configuration is checked first
+    /// ([`LdGpuConfig::validate`]).
     pub fn try_run(&self, g: &CsrGraph) -> Result<LdGpuOutput, LdGpuError> {
         let cfg = &self.cfg;
+        cfg.validate()?;
         let n = g.num_vertices();
         let plan = Plan::new(g, cfg)?;
         let ndev = plan.partition.parts.len();
@@ -684,16 +686,14 @@ impl LdGpu {
             // forever.
             rt.assert_progress(new_matches, "SETMATES after a pointer-setting round");
 
-            if cfg.collect_iterations {
-                let occ = if occ_weight > 0.0 { occ_weighted / occ_weight } else { 0.0 };
-                rt.push_iteration(IterationRecord::from_stats(
-                    iterations - 1,
-                    &point.stats,
-                    total_directed,
-                    occ,
-                    new_matches,
-                ));
-            }
+            let occ = if occ_weight > 0.0 { occ_weighted / occ_weight } else { 0.0 };
+            rt.push_iteration(IterationRecord::from_stats(
+                iterations - 1,
+                &point.stats,
+                total_directed,
+                occ,
+                new_matches,
+            ));
 
             // Cross-iteration frontier: the only vertices whose pointers
             // went stale are those whose target was matched away by this
@@ -883,6 +883,28 @@ mod tests {
         let platform = dgx().with_device_memory(single / 2);
         let err = LdGpu::new(LdGpuConfig::new(platform).batches(1)).try_run(&g).unwrap_err();
         assert!(matches!(err, LdGpuError::BatchPlanTooLarge { .. }));
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_before_planning() {
+        let g = urand(200, 800, 8);
+        let mut no_gpus = dgx();
+        no_gpus.max_devices = 0;
+        let mut no_sms = dgx();
+        no_sms.device.sm_count = 0;
+        let mut no_warps = dgx();
+        no_warps.device.max_warps_per_sm = 0;
+        let cfgs = [
+            LdGpuConfig::new(no_gpus),
+            LdGpuConfig::new(no_sms),
+            LdGpuConfig::new(no_warps),
+            LdGpuConfig::new(dgx()).devices(0),
+            LdGpuConfig::new(dgx()).batches(0),
+        ];
+        for cfg in cfgs {
+            let err = LdGpu::new(cfg).try_run(&g).unwrap_err();
+            assert!(matches!(err, LdGpuError::InvalidConfig(_)), "{err:?}");
+        }
     }
 
     #[test]

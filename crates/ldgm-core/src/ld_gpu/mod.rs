@@ -21,7 +21,7 @@ mod scratch;
 pub mod tune;
 
 pub use comm::CommPolicy;
-pub use config::{LdGpuConfig, LdGpuConfigBuilder, LdGpuError};
+pub use config::{LdGpuConfig, LdGpuError};
 pub use driver::{LdGpu, LdGpuOutput};
 pub use kernels::{
     fill_warp_stats, set_mates, set_pointers_batch, set_pointers_opt, set_pointers_scan,

@@ -19,6 +19,12 @@
 //! stays bit-identical across the whole grid, so tuning never changes
 //! the answer, only its cost.
 //!
+//! Candidates are checked like any other configuration:
+//! [`LdGpu::try_run`] runs [`LdGpuConfig::validate`] first, so a grid
+//! point that breaks a rule (a zero batch count or a one-band window in
+//! [`TuneOptions`]) is skipped like an infeasible batch plan, and an
+//! invalid base config is the tuner's error.
+//!
 //! The search is fully deterministic: a fixed candidate order, exact
 //! simulated times, and first-wins tie-breaking mean re-tuning the same
 //! graph on the same platform always locks the same config.
@@ -70,8 +76,8 @@ pub struct ProbeRecord {
 #[derive(Clone, Debug)]
 pub struct TuneReport {
     /// The locked configuration: full-run winner among the probe
-    /// shortlist and the base config, with the caller's collection
-    /// flags restored and `probe_iterations` cleared.
+    /// shortlist and the base config, with the caller's trace flag
+    /// restored and `probe_iterations` cleared.
     pub config: LdGpuConfig,
     /// Full-run simulated seconds of the locked config.
     pub sim_time: f64,
@@ -119,12 +125,10 @@ pub fn describe_knobs(cfg: &LdGpuConfig) -> String {
 }
 
 /// The candidate grid seeded from `base`: every combination of the three
-/// optimization toggles (frontier combos are dropped when the base
-/// disables retirement, which the frontier requires) × overlap on/off ×
-/// the option's batch counts — or, when the base streams, the option's
-/// window sizes (batches have no effect on the band walk, so the window
-/// replaces that axis and the grid keeps its shape). Order is
-/// deterministic.
+/// optimization toggles × overlap on/off × the option's batch counts —
+/// or, when the base streams, the option's window sizes (batches have no
+/// effect on the band walk, so the window replaces that axis and the grid
+/// keeps its shape). Order is deterministic.
 fn candidates(base: &LdGpuConfig, opts: &TuneOptions) -> Vec<LdGpuConfig> {
     let streaming = base.streaming;
     let batch_axis: &[Option<usize>] = if streaming { &[None] } else { &opts.batch_counts };
@@ -134,9 +138,6 @@ fn candidates(base: &LdGpuConfig, opts: &TuneOptions) -> Vec<LdGpuConfig> {
         let sorted = toggle_bits & 1 != 0;
         let frontier = toggle_bits & 2 != 0;
         let sparse = toggle_bits & 4 != 0;
-        if frontier && !base.retire_exhausted {
-            continue;
-        }
         for &overlap in &[false, true] {
             for &batches in batch_axis {
                 for &window in window_axis {
@@ -158,10 +159,9 @@ fn candidates(base: &LdGpuConfig, opts: &TuneOptions) -> Vec<LdGpuConfig> {
     out
 }
 
-/// Strip observability from a config so probe/comparison runs price only
-/// the algorithm.
+/// Strip the trace from a config so probe/comparison runs price only the
+/// algorithm.
 fn quiet(mut cfg: LdGpuConfig) -> LdGpuConfig {
-    cfg.collect_iterations = false;
     cfg.collect_trace = false;
     cfg
 }
@@ -175,10 +175,11 @@ pub fn auto_tune(g: &CsrGraph, base: &LdGpuConfig) -> Result<TuneReport, LdGpuEr
 /// candidate for `opts.probe_iterations` iterations, then lock the
 /// full-run winner among the probe shortlist and `base` itself.
 ///
-/// Errors only if the *base* config cannot run at all (e.g. its fixed
-/// batch plan overflows device memory); infeasible candidates are
-/// skipped. The locked config keeps `base`'s platform, devices, and
-/// collection flags — only the tuned knobs differ.
+/// Errors only if the *base* config cannot run at all (it breaks a rule
+/// of [`LdGpuConfig::validate`], or its fixed batch plan overflows device
+/// memory); infeasible candidates are skipped. The locked config keeps
+/// `base`'s platform, devices, and trace flag — only the tuned knobs
+/// differ.
 pub fn auto_tune_with(
     g: &CsrGraph,
     base: &LdGpuConfig,
@@ -191,7 +192,7 @@ pub fn auto_tune_with(
         let mut probe_cfg = quiet(cand.clone());
         probe_cfg.probe_iterations = Some(probe_k);
         let Ok(out) = LdGpu::new(probe_cfg).try_run(g) else {
-            continue; // infeasible batch plan on this platform
+            continue; // invalid or infeasible batch plan on this platform
         };
         candidates_run += 1;
         probed.push((out.sim_time, i, cand));
@@ -221,7 +222,6 @@ pub fn auto_tune_with(
     }
 
     best_cfg.probe_iterations = None;
-    best_cfg.collect_iterations = base.collect_iterations;
     best_cfg.collect_trace = base.collect_trace;
     Ok(TuneReport {
         config: best_cfg,
@@ -277,14 +277,10 @@ mod tests {
     #[test]
     fn respects_retirement_constraint() {
         let base = LdGpuConfig::new(Platform::dgx_a100());
-        let no_retire = LdGpuConfig { retire_exhausted: false, ..base.clone() };
         let opts = TuneOptions::default();
-        assert!(candidates(&no_retire, &opts).iter().all(|c| !c.frontier));
         assert!(candidates(&base, &opts).iter().any(|c| c.frontier));
-        // The grid is 8 toggle combos x 2 overlap x |batch_counts|,
-        // halved when the frontier combos drop out.
+        // The grid is 8 toggle combos x 2 overlap x |batch_counts|.
         assert_eq!(candidates(&base, &opts).len(), 8 * 2 * opts.batch_counts.len());
-        assert_eq!(candidates(&no_retire, &opts).len(), 4 * 2 * opts.batch_counts.len());
     }
 
     #[test]

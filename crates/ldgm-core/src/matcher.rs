@@ -42,8 +42,8 @@ pub enum MatchError {
         /// All valid names, nearest-first.
         suggestions: Vec<String>,
     },
-    /// A configuration was rejected before the run started (invalid
-    /// builder combination, size guard, bad parameter).
+    /// A configuration was rejected before the run started (a rule of an
+    /// engine config's `validate`, a size guard, a bad parameter).
     InvalidConfig(String),
     /// The input graph/dataset could not be used (missing, malformed,
     /// structurally unusable).
@@ -394,9 +394,8 @@ impl Matcher for LdGpuMatcher {
         "ld-gpu"
     }
     fn run(&self, g: &CsrGraph) -> Result<MatchResult, MatchError> {
-        let out = LdGpu::new(self.cfg.clone())
-            .try_run(g)
-            .map_err(|e| MatchError::Engine(format!("LD-GPU failed: {e}")))?;
+        let out =
+            LdGpu::new(self.cfg.clone()).try_run(g).map_err(|e| e.into_match_error("LD-GPU"))?;
         Ok(ld_gpu_result(out))
     }
 }
@@ -422,7 +421,7 @@ impl Matcher for LdGpuOptMatcher {
     fn run(&self, g: &CsrGraph) -> Result<MatchResult, MatchError> {
         let out = LdGpu::new(self.cfg.clone())
             .try_run(g)
-            .map_err(|e| MatchError::Engine(format!("LD-GPU-opt failed: {e}")))?;
+            .map_err(|e| e.into_match_error("LD-GPU-opt"))?;
         Ok(ld_gpu_result(out))
     }
 }
@@ -601,7 +600,7 @@ impl Matcher for CugraphMatcher {
     }
     fn run(&self, g: &CsrGraph) -> Result<MatchResult, MatchError> {
         let out = cugraph_sim_traced(g, &self.platform, self.devices, self.collect_trace)
-            .map_err(|e| MatchError::Engine(format!("cuGraph-sim failed: {e}")))?;
+            .map_err(|e| e.into_match_error("cuGraph-sim"))?;
         Ok(ld_gpu_result(out))
     }
 }

@@ -49,7 +49,8 @@ use crate::delta::{DynGraph, EdgeUpdate};
 pub struct DynConfig {
     /// Simulated platform (device spec, interconnect, cost models).
     pub platform: Platform,
-    /// Devices to bill against (vertex space split uniformly).
+    /// Devices to bill against (vertex space split uniformly; at least 1,
+    /// counts beyond `platform.max_devices` use every device).
     pub devices: usize,
     /// Delta-CSR compaction threshold as a fraction of base directed edges.
     pub compact_frac: f64,
@@ -66,9 +67,9 @@ impl DynConfig {
         DynConfig { platform, devices: 1, compact_frac: 0.25, overlap: false }
     }
 
-    /// Set the device count (clamped to the platform maximum).
+    /// Set the device count.
     pub fn devices(mut self, n: usize) -> Self {
-        self.devices = n.max(1);
+        self.devices = n;
         self
     }
 
@@ -85,15 +86,11 @@ impl DynConfig {
         self
     }
 
-    /// Start a validated builder ([`DynConfigBuilder`]) with the same
-    /// defaults as [`DynConfig::new`].
-    pub fn builder(platform: Platform) -> DynConfigBuilder {
-        DynConfigBuilder { cfg: DynConfig::new(platform) }
-    }
-
-    /// Check the configuration for nonsense combinations. The chained
-    /// setters clamp silently for backward compatibility; the builder
-    /// routes through this instead.
+    /// Check every rule of the configuration. The front ends
+    /// ([`IncrementalMatcher`](crate::matcher::IncrementalMatcher) and
+    /// `ldgm serve`) call this before building an engine;
+    /// [`IncrementalLd::new`] stays infallible and runs a zero device
+    /// count on one device.
     pub fn validate(&self) -> Result<(), MatchError> {
         if self.devices == 0 {
             return Err(MatchError::InvalidConfig("devices must be >= 1".to_string()));
@@ -105,53 +102,6 @@ impl DynConfig {
             )));
         }
         Ok(())
-    }
-}
-
-/// Validated builder for [`DynConfig`]; mirrors
-/// [`ldgm_core::ld_gpu::LdGpuConfigBuilder`].
-#[derive(Clone, Debug)]
-pub struct DynConfigBuilder {
-    cfg: DynConfig,
-}
-
-impl DynConfigBuilder {
-    /// Device count (validated, not clamped: 0 is rejected by `build`).
-    pub fn devices(mut self, n: usize) -> Self {
-        self.cfg.devices = n;
-        self
-    }
-
-    /// Delta-CSR compaction threshold fraction.
-    pub fn compact_frac(mut self, frac: f64) -> Self {
-        self.cfg.compact_frac = frac;
-        self
-    }
-
-    /// Toggle communication/computation overlap billing.
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.cfg.overlap = on;
-        self
-    }
-
-    /// Re-size the platform to `n` cluster nodes
-    /// ([`Platform::with_nodes`]): clusters flat platforms over
-    /// InfiniBand, re-sizes cluster presets, no-op at `n = 1` on flat
-    /// platforms.
-    pub fn nodes(mut self, n: usize) -> Self {
-        self.cfg.platform = self.cfg.platform.clone().with_nodes(n);
-        self
-    }
-
-    /// Check the accumulated configuration without consuming the builder.
-    pub fn validate(&self) -> Result<(), MatchError> {
-        self.cfg.validate()
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<DynConfig, MatchError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -243,6 +193,8 @@ impl IncrementalLd {
     pub fn new(base: impl Into<Arc<CsrGraph>>, cfg: DynConfig) -> Self {
         let g = DynGraph::new(base).with_compact_frac(cfg.compact_frac);
         let n = g.num_vertices();
+        // Infallible by design: a zero count runs on one device. The front
+        // ends reject it first with `DynConfig::validate`.
         let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
         // The dynamic output exposes its timeline unconditionally, so the
         // runtime keeps the trace it records anyway.
@@ -781,17 +733,6 @@ mod tests {
         let engine = IncrementalLd::new(g.clone(), dgx1());
         assert_eq!(engine.mate_array(), ld_seq(&g).mate_array());
         assert!(engine.horizon() > 0.0, "initial build must cost simulated time");
-    }
-
-    #[test]
-    fn builder_nodes_clusters_the_platform() {
-        let cfg = DynConfig::builder(Platform::dgx_a100()).devices(16).nodes(2).build().unwrap();
-        let topo = cfg.platform.cluster_topology().expect("clustered platform");
-        assert_eq!((topo.nodes, topo.gpus_per_node), (2, 8));
-        assert_eq!(cfg.platform.max_devices, 16);
-        // nodes(1) on a flat platform is the identity.
-        let flat = DynConfig::builder(Platform::dgx_a100()).nodes(1).build().unwrap();
-        assert!(flat.platform.cluster_topology().is_none());
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod matcher;
 pub mod stream;
 
 pub use delta::{DynGraph, EdgeUpdate};
-pub use engine::{BatchReport, DynConfig, DynConfigBuilder, DynRunOutput, IncrementalLd};
+pub use engine::{BatchReport, DynConfig, DynRunOutput, IncrementalLd};
 pub use matcher::{DynamicMatcher, DynamicMatcherRegistry, DynamicRunResult, WorkloadSpec};
 pub use stream::{UpdateStream, WorkloadKind};

@@ -123,6 +123,7 @@ impl DynamicMatcher for IncrementalMatcher {
     }
 
     fn run(&self, base: &CsrGraph, spec: &WorkloadSpec) -> Result<DynamicRunResult, MatchError> {
+        self.cfg.validate()?;
         let mut engine = IncrementalLd::new(base.clone(), self.cfg.clone());
         let mut stream = spec.make_stream(base);
         let mut reports = Vec::with_capacity(spec.batches);
@@ -168,9 +169,8 @@ impl RecomputeMatcher {
         // so it already sums to `sim_time` — no tracing detour needed.
         let cfg = LdGpuConfig::new(self.setup.platform.clone())
             .devices(self.setup.devices)
-            .with_overlap(self.setup.overlap)
-            .without_iteration_profile();
-        LdGpu::new(cfg).try_run(g).map_err(MatchError::engine)
+            .with_overlap(self.setup.overlap);
+        LdGpu::new(cfg).try_run(g).map_err(|e| e.into_match_error("LD-GPU"))
     }
 }
 

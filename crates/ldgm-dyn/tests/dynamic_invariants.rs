@@ -71,11 +71,7 @@ proptest! {
     ) {
         let n = g.num_vertices() as u32;
         // Aggressive compaction so the property also crosses compactions.
-        let cfg = DynConfig::builder(Platform::dgx_a100())
-            .devices(2)
-            .compact_frac(0.1)
-            .build()
-            .unwrap();
+        let cfg = DynConfig::new(Platform::dgx_a100()).devices(2).compact_frac(0.1);
         let mut engine = IncrementalLd::new(g, cfg);
         for ops in &script {
             let batch = decode(&engine, ops, n);

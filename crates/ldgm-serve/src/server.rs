@@ -320,7 +320,7 @@ mod tests {
 
     fn make_service(n: usize, m: usize, seed: u64, target: usize) -> Arc<MatchService> {
         let g = urand(n, m, seed);
-        let cfg = DynConfig::builder(Platform::dgx_a100()).devices(2).build().unwrap();
+        let cfg = DynConfig::new(Platform::dgx_a100()).devices(2);
         Arc::new(MatchService::new(
             "g",
             g,
@@ -436,7 +436,7 @@ mod tests {
     #[test]
     fn admission_control_answers_429_on_the_wire() {
         let g = urand(50, 150, 3);
-        let cfg = DynConfig::builder(Platform::dgx_a100()).build().unwrap();
+        let cfg = DynConfig::new(Platform::dgx_a100());
         let service = Arc::new(MatchService::new(
             "g",
             g,

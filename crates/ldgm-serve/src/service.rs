@@ -629,7 +629,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn cfg() -> DynConfig {
-        DynConfig::builder(Platform::dgx_a100()).devices(2).build().unwrap()
+        DynConfig::new(Platform::dgx_a100()).devices(2)
     }
 
     fn svc(target: usize) -> MatchService {
@@ -646,11 +646,8 @@ mod tests {
         let g = urand(120, 480, 5);
         for devices in [1, 2, 4] {
             for given in [false, true] {
-                let base = DynConfig::builder(Platform::dgx_a100())
-                    .devices(devices)
-                    .overlap(given)
-                    .build()
-                    .unwrap();
+                let base =
+                    DynConfig::new(Platform::dgx_a100()).devices(devices).with_overlap(given);
                 let resolved = resolve_dyn_config(&g, base.clone());
                 assert_eq!(resolved.overlap, devices > 1, "{devices} devices, {given} given");
                 assert_eq!(resolved.devices, base.devices, "the rule moves overlap only");

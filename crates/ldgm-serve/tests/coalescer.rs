@@ -25,7 +25,7 @@ use ldgm_graph::gen::urand;
 use ldgm_serve::{MatchService, ServeConfig, UNMATCHED};
 
 fn dyn_cfg() -> DynConfig {
-    DynConfig::builder(Platform::dgx_a100()).devices(2).build().unwrap()
+    DynConfig::new(Platform::dgx_a100()).devices(2)
 }
 
 /// Raw op: (client, a, b, weight‰, kind) over an n-vertex graph; a kind

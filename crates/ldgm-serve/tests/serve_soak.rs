@@ -44,7 +44,7 @@ impl Client {
 #[test]
 fn sixty_four_connection_soak_stays_replay_identical() {
     let g = urand(N as usize, 1200, 17);
-    let cfg = DynConfig::builder(Platform::dgx_a100()).devices(2).build().unwrap();
+    let cfg = DynConfig::new(Platform::dgx_a100()).devices(2);
     let service = Arc::new(MatchService::new(
         "g",
         g,

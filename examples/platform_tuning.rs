@@ -27,10 +27,7 @@ fn main() {
     let mut best: Option<(usize, usize, f64)> = None;
     for nd in [1usize, 2, 4, 8] {
         for nb in [1usize, 2, 3, 5, 10] {
-            let cfg = LdGpuConfig::new(platform.clone())
-                .devices(nd)
-                .batches(nb)
-                .without_iteration_profile();
+            let cfg = LdGpuConfig::new(platform.clone()).devices(nd).batches(nb);
             match LdGpu::new(cfg).try_run(&g) {
                 Ok(out) => {
                     let better = best.is_none_or(|(_, _, t)| out.sim_time < t);
