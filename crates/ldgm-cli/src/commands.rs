@@ -18,7 +18,7 @@ use ldgm_core::verify::half_approx_certificate;
 use ldgm_core::{
     edit_distance, nearest_names, MatchResult, Matcher, MatcherRegistry, MatcherSetup,
 };
-use ldgm_dyn::matcher::IncrementalMatcher;
+use ldgm_dyn::matcher::{IncrementalMatcher, RecomputeMatcher};
 use ldgm_dyn::{DynConfig, DynamicMatcherRegistry, WorkloadKind, WorkloadSpec};
 use ldgm_gpusim::metrics::names;
 use ldgm_gpusim::{
@@ -97,8 +97,10 @@ OPTIONS:
   --seed S            seed for randomized algorithms (default 0)
   --overlap           overlap collectives with compute for the LD-GPU
                       matchers (chunked allreduce on the comm stream)
-  --auto-tune         search the (batches x toggles x overlap) grid with
-                      the self-tuning planner and run the locked config;
+  --auto-tune         search the 16 configs of (ld-gpu-opt mode on/off x
+                      overlap on/off x 4 batch counts, or 4 windows with
+                      --stream) with the self-tuning planner and run the
+                      locked config;
                       never slower than the defaults in simulated time,
                       matching bits unchanged (ld-gpu/ld-gpu-opt only)
   --augment PASSES    refine with 2/3 short augmentations
@@ -200,8 +202,9 @@ OPTIONS:
   --stream-window N   resident window depth in bands (requires --stream)
   --seed S          seed for randomized algorithms (default 0)
   --overlap         overlap collectives with compute (LD-GPU matchers)
-  --auto-tune       tune the LD-GPU matchers in the list first and
-                    profile their locked configs
+  --auto-tune       tune the LD-GPU matchers in the list first over the
+                    16 configs of (ld-gpu-opt mode x overlap x batch
+                    count) and profile their locked configs
   --metrics N       metrics rows per algorithm (default 6)
 ",
     ),
@@ -282,7 +285,7 @@ fn parse_platform(name: &str) -> Result<Platform, ArgError> {
 }
 
 /// Resolve `--auto-tune` for one of the LD-GPU matchers: search the
-/// (batches × toggles × overlap) config grid on `g` with short probe
+/// (mode × overlap × batches) config grid on `g` with short probe
 /// runs and return a matcher locked to the full-run winner, which is
 /// never slower (simulated) than the defaults. Other algorithms have no
 /// tunable driver config and reject the flag.
@@ -319,18 +322,17 @@ fn tune_note(report: &TuneReport) -> String {
     )
 }
 
-/// Build the matcher setup shared by `match`, `profile` and `dynamic`.
+/// Build the matcher setup shared by `match`, `profile` and `dynamic`;
+/// `--nodes` and `--mem-limit` reshape its platform.
 fn matcher_setup(args: &Args, collect_trace: bool) -> Result<MatcherSetup, ArgError> {
-    let nodes = match args.get("nodes") {
-        None => None,
-        Some(n) => {
-            let n: usize = n.parse().map_err(|_| ArgError(format!("bad --nodes '{n}'")))?;
-            if n == 0 {
-                return Err(ArgError("--nodes must be >= 1".into()));
-            }
-            Some(n)
+    let mut platform = parse_platform(args.get_or("platform", "dgx-a100"))?;
+    if let Some(n) = args.get("nodes") {
+        let n: usize = n.parse().map_err(|_| ArgError(format!("bad --nodes '{n}'")))?;
+        if n == 0 {
+            return Err(ArgError("--nodes must be >= 1".into()));
         }
-    };
+        platform = platform.with_nodes(n);
+    }
     let parse_bytes = |name: &str| -> Result<Option<u64>, ArgError> {
         match args.get(name) {
             None => Ok(None),
@@ -343,6 +345,9 @@ fn matcher_setup(args: &Args, collect_trace: bool) -> Result<MatcherSetup, ArgEr
             }
         }
     };
+    if let Some(bytes) = parse_bytes("mem-limit")? {
+        platform = platform.with_device_memory(bytes);
+    }
     let streaming = args.has_flag("stream");
     let mem_budget = parse_bytes("mem-budget")?;
     let stream_window = match args.get("stream-window") {
@@ -363,7 +368,7 @@ fn matcher_setup(args: &Args, collect_trace: bool) -> Result<MatcherSetup, ArgEr
         ));
     }
     Ok(MatcherSetup {
-        platform: parse_platform(args.get_or("platform", "dgx-a100"))?,
+        platform,
         devices: args.get_num("devices", 1usize)?,
         batches: match args.get("batches") {
             None => None,
@@ -372,9 +377,7 @@ fn matcher_setup(args: &Args, collect_trace: bool) -> Result<MatcherSetup, ArgEr
         seed: args.get_num("seed", 0u64)?,
         collect_trace,
         overlap: args.has_flag("overlap"),
-        nodes,
         topology_placement: args.has_flag("topo-placement"),
-        mem_limit: parse_bytes("mem-limit")?,
         streaming,
         mem_budget,
         stream_window,
@@ -590,7 +593,7 @@ fn cmd_dynamic(args: &Args) -> Result<String, ArgError> {
         "auto-tune",
     ])?;
     let g = load_graph(args)?;
-    let mut setup = matcher_setup(args, false)?.resolved();
+    let mut setup = matcher_setup(args, false)?;
     let mut tune_line = String::new();
     if args.has_flag("auto-tune") {
         // The dynamic engines share the platform's comm-schedule knob
@@ -607,14 +610,15 @@ fn cmd_dynamic(args: &Args) -> Result<String, ArgError> {
     if frac <= 0.0 {
         return Err(ArgError(format!("--compact-frac must be positive, got {frac}")));
     }
-    let mut registry = DynamicMatcherRegistry::with_defaults(&setup);
-    // --compact-frac shapes the incremental engine; re-register it with
-    // the override so the registry stays the single dispatch path.
+    // --compact-frac shapes the incremental engine, so the registry is
+    // built here rather than by `DynamicMatcherRegistry::with_defaults`.
     let dyn_cfg = DynConfig::new(setup.platform.clone())
         .devices(setup.devices)
         .compact_frac(frac)
         .with_overlap(setup.overlap);
+    let mut registry = DynamicMatcherRegistry::new();
     registry.register(Box::new(IncrementalMatcher::new(dyn_cfg)));
+    registry.register(Box::new(RecomputeMatcher::new(setup)));
     let engine = registry.get(engine_name).ok_or_else(|| {
         ArgError(format!("unknown engine '{engine_name}' (valid: {})", registry.names().join(", ")))
     })?;
@@ -847,7 +851,7 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     ])?;
     let g = load_graph(args)?;
     let setup = matcher_setup(args, true)?;
-    let mut registry = MatcherRegistry::with_defaults(&setup);
+    let registry = MatcherRegistry::with_defaults(&setup);
     let names: Vec<String> = match args.get_or("algorithms", PROFILE_DEFAULT_ALGORITHMS) {
         "all" => registry.names().iter().map(|s| s.to_string()).collect(),
         list => list.split(',').map(|s| s.trim().to_string()).collect(),
@@ -855,14 +859,15 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
     let top_n: usize = args.get_num("metrics", 6usize)?;
 
     let mut out = String::new();
+    // Each requested LD-GPU matcher tuned to its locked config; the
+    // profile rows look these up before the registry.
+    let mut tuned: Vec<Box<dyn Matcher>> = Vec::new();
     if args.has_flag("auto-tune") {
-        // Re-register each requested LD-GPU matcher with its locked
-        // config so the profile rows show the tuned runs.
         for alg in ["ld-gpu", "ld-gpu-opt"] {
             if names.iter().any(|n| n == alg) {
                 let (m, report) = tuned_matcher(alg, &setup, &g)?;
                 write!(out, "{alg} {}", tune_note(&report)).unwrap();
-                drop(registry.register(m));
+                tuned.push(m);
             }
         }
     }
@@ -884,7 +889,10 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
 
     let mut runs: Vec<(String, MatchResult)> = Vec::new();
     for name in &names {
-        let matcher = registry.try_get(name).map_err(|e| ArgError(e.to_string()))?;
+        let matcher = match tuned.iter().find(|m| m.name() == name) {
+            Some(m) => m.as_ref(),
+            None => registry.try_get(name).map_err(|e| ArgError(e.to_string()))?,
+        };
         match matcher.run(&g) {
             Err(e) => writeln!(out, "{name:<11} skipped: {e}").unwrap(),
             Ok(r) => {

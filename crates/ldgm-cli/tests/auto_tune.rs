@@ -35,9 +35,9 @@ fn auto_tune_locks_a_config_no_slower_than_the_default() {
     std::fs::remove_dir_all(&dir).ok();
 
     let tune = out.lines().find(|l| l.starts_with("auto-tune: ")).expect("an auto-tune line");
-    assert!(tune.starts_with("auto-tune: probed 64 candidates, locked ["), "{tune}");
+    assert!(tune.starts_with("auto-tune: probed 16 candidates, locked ["), "{tune}");
     let locked = &tune[tune.find('[').unwrap() + 1..tune.find(']').expect("closing bracket")];
-    for knob in ["batches=", "sorted=", "frontier=", "sparse=", "overlap="] {
+    for knob in ["batches=", "opt=", "overlap="] {
         assert!(locked.contains(knob), "locked config names {knob}: {tune}");
     }
     let tuned = number_after(tune, "simulated ");

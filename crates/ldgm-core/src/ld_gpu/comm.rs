@@ -11,8 +11,9 @@
 //! overlapped one is a [`SimRuntime::allreduce_chunked`] on the comm
 //! stream, each slice reducing from the moment its producer kernel
 //! retires. [`CommPolicy`] is the only code that makes either choice: the
-//! LD-GPU driver builds it from its configuration, the incremental engine
-//! as sparse with its own overlap flag.
+//! LD-GPU driver builds it from its configuration (sparse exactly in the
+//! optimized mode), the incremental engine as sparse with its own overlap
+//! flag.
 
 use ldgm_gpusim::{CommChunk, SimRuntime};
 
@@ -46,16 +47,6 @@ impl CommPolicy {
     pub fn stage(&self, chunks: &mut Vec<CommChunk>, vertices: u64, written: u64, ready: f64) {
         if self.overlap {
             chunks.push(CommChunk { bytes: self.bytes(vertices, written), ready });
-        }
-    }
-
-    /// A batch of `vertices` vertices skipped its launch this round. A
-    /// dense overlapped reduction still ships its untouched slice, ready
-    /// at once since nothing produces it; a sparse one has nothing to
-    /// ship.
-    pub fn stage_skipped(&self, chunks: &mut Vec<CommChunk>, vertices: u64) {
-        if !self.sparse {
-            self.stage(chunks, vertices, 0, 0.0);
         }
     }
 
@@ -106,9 +97,5 @@ mod tests {
             [CommChunk { bytes: 800, ready: 1.5 }, CommChunk { bytes: 112, ready: 2.5 }],
             "dense 8 B per vertex, sparse 16 B per written entry, serialized stages nothing"
         );
-        chunks.clear();
-        CommPolicy::new(true, false).stage_skipped(&mut chunks, 10);
-        CommPolicy::new(true, true).stage_skipped(&mut chunks, 10);
-        assert_eq!(chunks, [CommChunk { bytes: 80, ready: 0.0 }]);
     }
 }

@@ -34,22 +34,18 @@ pub struct LdGpuConfig {
     /// Record a full event [`ldgm_gpusim::Trace`] (copies, kernels,
     /// collectives, syncs) for Gantt inspection. Off by default.
     pub collect_trace: bool,
-    /// Optimized mode: bill SETPOINTERS as scanning each list in
-    /// preference order (weight desc, id asc) and stopping at the wave
-    /// that holds the first available neighbor, the argmax. The kernel
-    /// finds that wave on the CSR lanes by counting the keys above the
-    /// argmax ([`Scan::Ranked`](super::Scan::Ranked)); no sorted index is
-    /// built. Off by default (the plain-`ld-gpu` paper-faithful full
-    /// scan).
-    pub sorted_index: bool,
-    /// Optimized mode: after the first iteration, launch SETPOINTERS only
-    /// over the cross-iteration frontier — vertices whose pointer target
-    /// was matched away by the previous SETMATES. Off by default.
-    pub frontier: bool,
-    /// Optimized mode: replace the dense `8·|V|` pointer/mate allreduces
-    /// with sparse delta collectives (~16 B per written entry). Off by
-    /// default.
-    pub sparse_collectives: bool,
+    /// Optimized mode (`ld-gpu-opt`), three layers that leave the
+    /// matching bit-identical to the default: SETPOINTERS is billed as
+    /// scanning each list in preference order (weight desc, id asc) and
+    /// stopping at the wave that holds the argmax, which the kernel finds
+    /// on the CSR lanes by counting the keys above it
+    /// ([`Scan::Ranked`](super::Scan::Ranked); no sorted index is built);
+    /// after the first iteration SETPOINTERS runs only over the
+    /// cross-iteration frontier, the vertices whose pointer target the
+    /// previous SETMATES matched away; and the pointer and mate
+    /// allreduces ship sparse deltas (~16 B per written entry) instead of
+    /// dense `8·|V|` arrays. Off by default (the paper-faithful `ld-gpu`).
+    pub optimized: bool,
     /// Overlap mode: skip the device barrier and run the collectives as
     /// chunked operations on a per-device comm stream — each batch's slice
     /// starts reducing when its kernel finishes, hiding wire time under
@@ -102,9 +98,7 @@ impl LdGpuConfig {
             retire_exhausted: true,
             kernel_overhead: 1.0,
             collect_trace: false,
-            sorted_index: false,
-            frontier: false,
-            sparse_collectives: false,
+            optimized: false,
             overlap: false,
             topology_placement: false,
             probe_iterations: None,
@@ -114,27 +108,10 @@ impl LdGpuConfig {
         }
     }
 
-    /// Enable every optimization layer (the `ld-gpu-opt` preset): sorted
-    /// index + cross-iteration frontier + sparse collectives.
-    pub fn optimized(self) -> Self {
-        self.with_sorted_index(true).with_frontier(true).with_sparse_collectives(true)
-    }
-
-    /// Toggle the preference-sorted adjacency index (early-exit scans).
-    pub fn with_sorted_index(mut self, on: bool) -> Self {
-        self.sorted_index = on;
-        self
-    }
-
-    /// Toggle the cross-iteration pointing frontier.
-    pub fn with_frontier(mut self, on: bool) -> Self {
-        self.frontier = on;
-        self
-    }
-
-    /// Toggle sparse delta collectives.
-    pub fn with_sparse_collectives(mut self, on: bool) -> Self {
-        self.sparse_collectives = on;
+    /// Turn on the optimized mode (the `ld-gpu-opt` preset; see the
+    /// `optimized` field).
+    pub fn optimized(mut self) -> Self {
+        self.optimized = true;
         self
     }
 
@@ -171,14 +148,6 @@ impl LdGpuConfig {
         self
     }
 
-    /// Whether any kernel-side optimization layer is enabled — when false,
-    /// the driver takes the byte-identical default `ld-gpu` kernel path.
-    /// `overlap` is deliberately excluded: it changes only how collectives
-    /// are billed, never which kernel variant runs.
-    pub fn is_optimized(&self) -> bool {
-        self.sorted_index || self.frontier || self.sparse_collectives
-    }
-
     /// Set the device count.
     pub fn devices(mut self, n: usize) -> Self {
         self.devices = n;
@@ -201,17 +170,8 @@ impl LdGpuConfig {
     /// [`LdGpu::try_run`](super::LdGpu::try_run) calls this before
     /// planning; a failure is an [`LdGpuError::InvalidConfig`].
     pub fn validate(&self) -> Result<(), LdGpuError> {
+        self.platform.validate().map_err(LdGpuError::InvalidConfig)?;
         let bad = |msg: String| Err(LdGpuError::InvalidConfig(msg));
-        let (p, spec) = (&self.platform, &self.platform.device);
-        if p.max_devices == 0 {
-            return bad(format!("platform {} has no devices", p.name));
-        }
-        if spec.sm_count == 0 || spec.max_warps_per_sm == 0 {
-            return bad(format!(
-                "device {} has no warp slots ({} SMs x {} warps per SM)",
-                spec.name, spec.sm_count, spec.max_warps_per_sm
-            ));
-        }
         if self.devices == 0 {
             return bad("devices must be >= 1".into());
         }

@@ -29,9 +29,8 @@
 //!
 //! # Optimized mode (`ld-gpu-opt`)
 //!
-//! Three opt-in layers ([`LdGpuConfig::optimized`]), each individually
-//! toggleable and each leaving the matching bit-identical to the default
-//! path:
+//! One opt-in mode ([`LdGpuConfig::optimized`]) switches on three layers
+//! together, each leaving the matching bit-identical to the default path:
 //!
 //! * **sorted index** — SETPOINTERS is billed as scanning each list in
 //!   (weight desc, id asc) order, the canonical [`prefer`] order, where
@@ -64,10 +63,10 @@
 //!
 //! # Overlap mode (`overlap`)
 //!
-//! A fourth, orthogonal toggle ([`LdGpuConfig::with_overlap`], off by
-//! default) that changes only how collectives are billed, never which
-//! kernel variant runs: instead of a serialized allreduce that starts
-//! once the slowest device finishes, each batch's slice of the pointer
+//! An orthogonal toggle ([`LdGpuConfig::with_overlap`], off by default)
+//! that changes only how collectives are billed, never which kernel
+//! variant runs: instead of a serialized allreduce that starts once the
+//! slowest device finishes, each batch's slice of the pointer
 //! reduction is scheduled on the device comm stream the moment its
 //! producer kernel retires ([`SimRuntime::allreduce_chunked`]), hiding
 //! wire time under the kernels of slower devices and next-iteration
@@ -358,23 +357,18 @@ fn batch_pointing(
     let mut rep = DeviceReport::default();
     let nb = batches.len();
     for (b, brange) in batches.iter().enumerate() {
-        // An empty batch (more requested batches than partition vertices)
-        // has nothing to copy, launch or sync.
-        if brange.num_vertices() == 0 {
-            rep.batches_skipped += 1;
-            continue;
-        }
         // Frontier rounds restrict the launch to the batch's slice of the
-        // device worklist; a batch with no frontier vertex is skipped
-        // outright (no copy, no launch, no sync).
+        // device worklist. An empty batch (more requested batches than
+        // partition vertices) or one with no frontier vertex is skipped
+        // outright: no copy, no launch, no sync, and nothing to reduce (a
+        // frontier round's reductions are sparse).
         let work: Option<&[VertexId]> = task.frontier.map(|f| {
             let lo = f.partition_point(|&u| u < brange.start);
             let hi = f.partition_point(|&u| u < brange.end);
             &f[lo..hi]
         });
-        if work.is_some_and(<[VertexId]>::is_empty) {
+        if brange.num_vertices() == 0 || work.is_some_and(<[VertexId]>::is_empty) {
             rep.batches_skipped += 1;
-            cx.comm.stage_skipped(&mut task.bufs.chunks, brange.num_vertices() as u64);
             continue;
         }
         // Async load into buffer b mod 2 (double buffer). With ≤ 2
@@ -573,9 +567,9 @@ impl LdGpu {
         let cx = PointCtx {
             g,
             plan: &plan,
-            scan: if cfg.sorted_index { Scan::Ranked } else { Scan::Full },
+            scan: if cfg.optimized { Scan::Ranked } else { Scan::Full },
             retire: cfg.retire_exhausted,
-            comm: CommPolicy::new(cfg.overlap, cfg.sparse_collectives),
+            comm: CommPolicy::new(cfg.overlap, cfg.optimized),
         };
 
         // Global device-resident arrays, and every reusable per-iteration
@@ -590,9 +584,8 @@ impl LdGpu {
             .with_trace(cfg.collect_trace);
         place_parts(g, cfg, &plan.partition, &mut rt);
 
-        let optimized = cfg.is_optimized();
-        // The frontiers hold per-device worklists once the first full
-        // iteration has run.
+        // In the optimized mode the frontiers hold per-device worklists
+        // once the first full iteration has run.
         let mut have_frontiers = false;
         let mut iterations = 0usize;
         let total_directed = g.num_directed_edges() as u64;
@@ -601,14 +594,13 @@ impl LdGpu {
 
         loop {
             // ---- Pointing phase (Algorithm 2 lines 3-6) ----
-            let frontier_round = cfg.frontier && have_frontiers;
             let reports = point_devices(
                 &cx,
                 &mut rt,
                 &mut scratch,
                 &mut pointers,
                 &mut retired,
-                frontier_round,
+                have_frontiers,
             );
             let mut point = PointingResult::default();
             let mut occ_weighted = 0.0;
@@ -624,13 +616,13 @@ impl LdGpu {
             }
             rt.counter_add(names::KERNEL_VERTICES_RETIRED, point.vertices_retired);
             rt.counter_add(names::KERNEL_POINTERS_SET, point.pointers_set);
-            if optimized || cfg.streaming {
+            if cfg.optimized || cfg.streaming {
                 rt.counter_add(names::OPT_EDGES_SKIPPED, point.edges_skipped);
             }
             // Batch skips also happen outside optimized mode (empty
             // batches when the plan has more batches than a partition has
             // vertices), so the counter is emitted whenever it fired.
-            if optimized || batches_skipped > 0 {
+            if cfg.optimized || batches_skipped > 0 {
                 rt.counter_add(names::OPT_BATCHES_SKIPPED, batches_skipped);
             }
 
@@ -655,7 +647,7 @@ impl LdGpu {
                 &retired,
                 &plan.partition.parts,
                 live,
-                cfg.frontier.then_some(&mut frontiers[..]),
+                cfg.optimized.then_some(&mut frontiers[..]),
                 &mut mate,
                 avail,
             );
@@ -704,7 +696,7 @@ impl LdGpu {
             // empty frontier is a fixed point: any remaining available
             // edge's maximum would be a mutual pair and would already have
             // been committed.
-            if cfg.frontier {
+            if cfg.optimized {
                 let total: usize = frontiers.iter().map(Vec::len).sum();
                 have_frontiers = true;
                 rt.observe(names::OPT_FRONTIER_SIZE, total as f64);
@@ -984,19 +976,14 @@ mod opt_tests {
     fn every_toggle_combination_matches_ld_seq() {
         let g = rmat(512, 4000, RmatParams::GAP_KRON, 21);
         let seq = ld_seq(&g);
-        for mask in 0u8..16 {
+        for (opt, overlap) in [(false, false), (true, false), (false, true), (true, true)] {
             for ndev in [1, 4] {
-                let cfg = LdGpuConfig::new(dgx())
-                    .devices(ndev)
-                    .with_sorted_index(mask & 1 != 0)
-                    .with_frontier(mask & 2 != 0)
-                    .with_sparse_collectives(mask & 4 != 0)
-                    .with_overlap(mask & 8 != 0);
-                let out = LdGpu::new(cfg).run(&g);
+                let cfg = LdGpuConfig { optimized: opt, ..LdGpuConfig::new(dgx()) };
+                let out = LdGpu::new(cfg.devices(ndev).with_overlap(overlap)).run(&g);
                 assert_eq!(
                     out.matching.mate_array(),
                     seq.mate_array(),
-                    "toggles {mask:04b}, {ndev} devices"
+                    "opt {opt}, overlap {overlap}, {ndev} devices"
                 );
             }
         }
@@ -1026,6 +1013,11 @@ mod opt_tests {
             opt.metrics.counter("comm.collective_bytes")
                 < def.metrics.counter("comm.collective_bytes")
         );
+        assert_eq!(
+            opt.metrics.counter("comm.allreduce_calls"),
+            def.metrics.counter("comm.allreduce_calls"),
+            "same number of collectives, smaller payloads"
+        );
         assert!(opt.metrics.counter("opt.edges_skipped") > 0, "hubs exceed one wave");
     }
 
@@ -1053,7 +1045,7 @@ mod opt_tests {
             .add_edge(r, s, 10.0)
             .build();
         let seq = ld_seq(&g);
-        let out = LdGpu::new(LdGpuConfig::new(dgx()).with_frontier(true)).run(&g);
+        let out = LdGpu::new(LdGpuConfig::new(dgx()).optimized()).run(&g);
         assert_eq!(out.iterations, 3);
         assert_eq!(out.matching.cardinality(), 4);
         assert_eq!(out.matching.mate_array(), seq.mate_array());
@@ -1070,7 +1062,7 @@ mod opt_tests {
         // points at it — the pointing vertex is its available neighbor —
         // so the realizable edge case is the pointing side retiring.)
         let g = GraphBuilder::new(3).add_edge(0, 1, 1.0).add_edge(1, 2, 5.0).build();
-        let out = LdGpu::new(LdGpuConfig::new(dgx()).with_frontier(true)).run(&g);
+        let out = LdGpu::new(LdGpuConfig::new(dgx()).optimized()).run(&g);
         let def = LdGpu::new(LdGpuConfig::new(dgx())).run(&g);
         assert_eq!(out.matching.mate_array(), def.matching.mate_array());
         assert_eq!(out.iterations, def.iterations);
@@ -1085,7 +1077,7 @@ mod opt_tests {
         // observe pointers_set == 0. Same matching, same iteration count,
         // strictly less simulated time.
         let g = GraphBuilder::new(2).add_edge(0, 1, 7.0).build();
-        let opt = LdGpu::new(LdGpuConfig::new(dgx()).with_frontier(true)).run(&g);
+        let opt = LdGpu::new(LdGpuConfig::new(dgx()).optimized()).run(&g);
         let def = LdGpu::new(LdGpuConfig::new(dgx())).run(&g);
         assert_eq!(opt.iterations, 1);
         assert_eq!(def.iterations, 1);
@@ -1098,34 +1090,11 @@ mod opt_tests {
         // Many batches, tiny late-round frontier: most batch launches are
         // skipped outright and the counter records it.
         let g = rmat(1024, 8000, RmatParams::GAP_KRON, 25);
-        let out = LdGpu::new(LdGpuConfig::new(dgx()).batches(6).with_frontier(true)).run(&g);
+        let out = LdGpu::new(LdGpuConfig::new(dgx()).batches(6).optimized()).run(&g);
         let def = LdGpu::new(LdGpuConfig::new(dgx()).batches(6)).run(&g);
         assert_eq!(out.matching.mate_array(), def.matching.mate_array());
         assert!(out.iterations > 1, "need a frontier round to exercise skipping");
         assert!(out.metrics.counter("opt.batches_skipped") > 0);
-    }
-
-    #[test]
-    fn sparse_collectives_cut_wire_bytes_only() {
-        let g = urand(1000, 8000, 26);
-        let def = LdGpu::new(LdGpuConfig::new(dgx()).devices(4)).run(&g);
-        let opt =
-            LdGpu::new(LdGpuConfig::new(dgx()).devices(4).with_sparse_collectives(true)).run(&g);
-        assert_eq!(opt.matching.mate_array(), def.matching.mate_array());
-        assert_eq!(
-            opt.metrics.counter("comm.allreduce_calls"),
-            def.metrics.counter("comm.allreduce_calls"),
-            "same number of collectives, smaller payloads"
-        );
-        assert!(
-            opt.metrics.counter("comm.collective_bytes")
-                < def.metrics.counter("comm.collective_bytes")
-        );
-        assert_eq!(
-            opt.metrics.counter("kernel.edges_scanned"),
-            def.metrics.counter("kernel.edges_scanned"),
-            "sparse collectives leave kernel work untouched"
-        );
     }
 
     #[test]
@@ -1327,15 +1296,11 @@ mod streaming_tests {
     fn streaming_composes_with_opt_and_overlap() {
         let g = rmat(512, 4000, RmatParams::GAP_KRON, 55);
         let seq = ld_seq(&g);
-        for mask in 0u8..8 {
-            let cfg = LdGpuConfig::new(dgx())
-                .devices(2)
-                .with_streaming(true)
-                .with_frontier(mask & 1 != 0)
-                .with_sparse_collectives(mask & 2 != 0)
-                .with_overlap(mask & 4 != 0);
+        for (opt, overlap) in [(false, false), (true, false), (false, true), (true, true)] {
+            let cfg = LdGpuConfig { optimized: opt, ..LdGpuConfig::new(dgx()) };
+            let cfg = cfg.devices(2).with_streaming(true).with_overlap(overlap);
             let out = LdGpu::new(cfg).run(&g);
-            assert_eq!(out.matching.mate_array(), seq.mate_array(), "toggles {mask:03b}");
+            assert_eq!(out.matching.mate_array(), seq.mate_array(), "opt {opt}, overlap {overlap}");
         }
     }
 

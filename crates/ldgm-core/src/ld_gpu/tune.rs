@@ -1,9 +1,8 @@
 //! Self-tuning configuration planner for the LD-GPU driver.
 //!
 //! The driver exposes a grid of billing-preserving knobs — batch count
-//! (which is also the overlap chunk count: one comm chunk per batch),
-//! the three kernel-path optimization toggles (sorted index, frontier,
-//! sparse collectives), and communication overlap — whose best
+//! (which is also the overlap chunk count: one comm chunk per batch), the
+//! optimized (`ld-gpu-opt`) mode, and communication overlap — whose best
 //! combination depends on the dataset's degree structure and the
 //! platform's memory/bandwidth balance. [`auto_tune`] searches that grid
 //! by *probing*: each candidate runs only a few matching iterations
@@ -102,17 +101,15 @@ impl TuneReport {
     }
 }
 
-/// Compact `batches=.. sorted=.. frontier=.. sparse=.. overlap=..`
-/// summary of a config's tuned knobs; streaming configs append
-/// ` stream=on window=..` (and drive the window, not the batch count).
+/// Compact `batches=.. opt=.. overlap=..` summary of a config's tuned
+/// knobs; streaming configs append ` stream=on window=..` (and drive the
+/// window, not the batch count).
 pub fn describe_knobs(cfg: &LdGpuConfig) -> String {
     let onoff = |b: bool| if b { "on" } else { "off" };
     let mut s = format!(
-        "batches={} sorted={} frontier={} sparse={} overlap={}",
+        "batches={} opt={} overlap={}",
         cfg.batches.map_or("auto".to_string(), |b| b.to_string()),
-        onoff(cfg.sorted_index),
-        onoff(cfg.frontier),
-        onoff(cfg.sparse_collectives),
+        onoff(cfg.optimized),
         onoff(cfg.overlap),
     );
     if cfg.streaming {
@@ -124,27 +121,22 @@ pub fn describe_knobs(cfg: &LdGpuConfig) -> String {
     s
 }
 
-/// The candidate grid seeded from `base`: every combination of the three
-/// optimization toggles × overlap on/off × the option's batch counts —
-/// or, when the base streams, the option's window sizes (batches have no
-/// effect on the band walk, so the window replaces that axis and the grid
-/// keeps its shape). Order is deterministic.
+/// The candidate grid seeded from `base`: the optimized mode off/on ×
+/// overlap off/on × the option's batch counts — or, when the base
+/// streams, the option's window sizes (batches have no effect on the band
+/// walk, so the window replaces that axis and the grid keeps its shape).
+/// Order is deterministic.
 fn candidates(base: &LdGpuConfig, opts: &TuneOptions) -> Vec<LdGpuConfig> {
     let streaming = base.streaming;
     let batch_axis: &[Option<usize>] = if streaming { &[None] } else { &opts.batch_counts };
     let window_axis: &[Option<usize>] = if streaming { &opts.stream_windows } else { &[None] };
     let mut out = Vec::new();
-    for toggle_bits in 0..8u32 {
-        let sorted = toggle_bits & 1 != 0;
-        let frontier = toggle_bits & 2 != 0;
-        let sparse = toggle_bits & 4 != 0;
-        for &overlap in &[false, true] {
+    for optimized in [false, true] {
+        for overlap in [false, true] {
             for &batches in batch_axis {
                 for &window in window_axis {
                     let mut c = base.clone();
-                    c.sorted_index = sorted;
-                    c.frontier = frontier;
-                    c.sparse_collectives = sparse;
+                    c.optimized = optimized;
                     c.overlap = overlap;
                     if streaming {
                         c.stream_window = window;
@@ -171,7 +163,7 @@ pub fn auto_tune(g: &CsrGraph, base: &LdGpuConfig) -> Result<TuneReport, LdGpuEr
     auto_tune_with(g, base, &TuneOptions::default())
 }
 
-/// Search the (batches × toggles × overlap) grid on `g`, probing each
+/// Search the (mode × overlap × batches) grid on `g`, probing each
 /// candidate for `opts.probe_iterations` iterations, then lock the
 /// full-run winner among the probe shortlist and `base` itself.
 ///
@@ -278,9 +270,9 @@ mod tests {
     fn respects_retirement_constraint() {
         let base = LdGpuConfig::new(Platform::dgx_a100());
         let opts = TuneOptions::default();
-        assert!(candidates(&base, &opts).iter().any(|c| c.frontier));
-        // The grid is 8 toggle combos x 2 overlap x |batch_counts|.
-        assert_eq!(candidates(&base, &opts).len(), 8 * 2 * opts.batch_counts.len());
+        assert!(candidates(&base, &opts).iter().any(|c| c.optimized));
+        // The grid is 2 modes x 2 overlap x |batch_counts|.
+        assert_eq!(candidates(&base, &opts).len(), 2 * 2 * opts.batch_counts.len());
     }
 
     #[test]
@@ -290,7 +282,7 @@ mod tests {
         let grid = candidates(&base, &opts);
         // Same grid shape as the batch search: the window axis replaces
         // the batch axis one for one.
-        assert_eq!(grid.len(), 8 * 2 * opts.stream_windows.len());
+        assert_eq!(grid.len(), 2 * 2 * opts.stream_windows.len());
         assert!(grid.iter().all(|c| c.streaming && c.batches == base.batches));
         assert!(grid.iter().any(|c| c.stream_window == Some(8)));
 
@@ -308,17 +300,14 @@ mod tests {
     #[test]
     fn knob_summary_reads_back() {
         let cfg = LdGpuConfig::new(Platform::dgx_a100()).batches(4).with_overlap(true);
-        assert_eq!(describe_knobs(&cfg), "batches=4 sorted=off frontier=off sparse=off overlap=on");
+        assert_eq!(describe_knobs(&cfg), "batches=4 opt=off overlap=on");
         let auto = LdGpuConfig::new(Platform::dgx_a100()).optimized();
-        assert_eq!(
-            describe_knobs(&auto),
-            "batches=auto sorted=on frontier=on sparse=on overlap=off"
-        );
+        assert_eq!(describe_knobs(&auto), "batches=auto opt=on overlap=off");
         let streamed =
             LdGpuConfig::new(Platform::dgx_a100()).with_streaming(true).with_stream_window(4);
         assert_eq!(
             describe_knobs(&streamed),
-            "batches=auto sorted=off frontier=off sparse=off overlap=off stream=on window=4"
+            "batches=auto opt=off overlap=off stream=on window=4"
         );
     }
 }

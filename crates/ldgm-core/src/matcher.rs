@@ -172,7 +172,9 @@ pub trait Matcher: Send + Sync {
 /// Shared configuration for [`MatcherRegistry::with_defaults`].
 #[derive(Clone, Debug)]
 pub struct MatcherSetup {
-    /// Platform for simulated matchers.
+    /// Platform for simulated matchers, with any cluster size or device
+    /// memory override already applied ([`Platform::with_nodes`],
+    /// [`Platform::with_device_memory`]).
     pub platform: Platform,
     /// Devices for multi-GPU matchers.
     pub devices: usize,
@@ -187,18 +189,9 @@ pub struct MatcherSetup {
     /// Communication/computation overlap for the LD-GPU matchers (chunked
     /// collectives on the comm stream; billing-only, matching unchanged).
     pub overlap: bool,
-    /// Cluster size override: `Some(n)` re-sizes the platform to `n`
-    /// nodes via [`Platform::with_nodes`] (clustering flat platforms
-    /// over InfiniBand); `None` leaves the platform untouched.
-    pub nodes: Option<usize>,
     /// Topology-aware part→node placement for the LD-GPU matchers on
     /// cluster platforms (billing-only, matching unchanged).
     pub topology_placement: bool,
-    /// Per-device memory override: `Some(bytes)` shrinks (or grows) the
-    /// platform's device memory via [`Platform::with_device_memory`], so
-    /// batching/streaming paths can be forced on datasets that would
-    /// otherwise fit whole. `None` leaves the platform untouched.
-    pub mem_limit: Option<u64>,
     /// Out-of-core streaming mode for the LD-GPU matchers (substream-
     /// pipelined rank bands; matching bit-identical to the resident
     /// paths).
@@ -219,30 +212,11 @@ impl Default for MatcherSetup {
             collect_trace: false,
             blossom_limit: 2000,
             overlap: false,
-            nodes: None,
             topology_placement: false,
-            mem_limit: None,
             streaming: false,
             mem_budget: None,
             stream_window: None,
         }
-    }
-}
-
-impl MatcherSetup {
-    /// Fold the `nodes` and `mem_limit` overrides into the platform
-    /// (idempotent: the returned setup has both cleared). Call before
-    /// handing the platform to engines that don't consume the full
-    /// setup.
-    pub fn resolved(&self) -> MatcherSetup {
-        let mut s = self.clone();
-        if let Some(n) = s.nodes.take() {
-            s.platform = s.platform.with_nodes(n);
-        }
-        if let Some(bytes) = s.mem_limit.take() {
-            s.platform = s.platform.with_device_memory(bytes);
-        }
-        s
     }
 }
 
@@ -260,7 +234,6 @@ impl MatcherRegistry {
 
     /// Every algorithm this crate ships, configured from `setup`.
     pub fn with_defaults(setup: &MatcherSetup) -> Self {
-        let setup = &setup.resolved();
         let mut reg = Self::new();
         reg.register(Box::new(LdGpuMatcher::from_setup(setup)));
         reg.register(Box::new(LdGpuOptMatcher::from_setup(setup)));
@@ -285,9 +258,9 @@ impl MatcherRegistry {
 
     /// Add a matcher. Re-registering an existing name replaces the old
     /// entry — loudly: the displaced matcher is logged to stderr and
-    /// returned, so intentional overrides (CLI `--compact-frac`-style
-    /// re-registration) can drop it while accidental duplicates leave a
-    /// trace instead of silently vanishing.
+    /// returned, so an intentional override can drop it while accidental
+    /// duplicates leave a trace instead of silently vanishing. No front
+    /// end re-registers a name.
     pub fn register(&mut self, matcher: Box<dyn Matcher>) -> Option<Box<dyn Matcher>> {
         match self.entries.binary_search_by(|m| m.name().cmp(matcher.name())) {
             Ok(i) => {
@@ -352,7 +325,6 @@ impl LdGpuMatcher {
     }
 
     fn from_setup(setup: &MatcherSetup) -> Self {
-        let setup = setup.resolved();
         let mut cfg = LdGpuConfig::new(setup.platform.clone())
             .devices(setup.devices)
             .with_overlap(setup.overlap)
@@ -404,7 +376,7 @@ impl Matcher for LdGpuMatcher {
 /// cross-iteration frontier + sparse delta collectives. Produces the
 /// bit-identical matching of plain `ld-gpu` at lower simulated cost.
 pub struct LdGpuOptMatcher {
-    /// Full LD-GPU configuration (all optimization toggles on).
+    /// Full LD-GPU configuration (the optimized mode on).
     pub cfg: LdGpuConfig,
 }
 
@@ -689,13 +661,6 @@ mod tests {
 
     #[test]
     fn mem_limit_and_streaming_flow_through_setup() {
-        // The memory override folds into the platform exactly once.
-        let setup = MatcherSetup { mem_limit: Some(123_456), ..Default::default() };
-        let resolved = setup.resolved();
-        assert_eq!(resolved.platform.device.mem_bytes, 123_456);
-        assert_eq!(resolved.mem_limit, None);
-        assert_eq!(resolved.resolved().platform.device.mem_bytes, 123_456);
-
         // Streaming knobs land on the ld-gpu configs (base and opt).
         let setup = MatcherSetup {
             streaming: true,
@@ -708,10 +673,11 @@ mod tests {
         assert_eq!(cfg.mem_budget, Some(1 << 22));
         assert_eq!(cfg.stream_window, Some(4));
 
-        // A mem-limited streaming run still matches correctly.
+        // A streaming run on a memory-limited platform still matches
+        // correctly.
         let g = urand(400, 3000, 6);
-        let setup =
-            MatcherSetup { streaming: true, mem_limit: Some(1 << 20), ..Default::default() };
+        let platform = Platform::dgx_a100().with_device_memory(1 << 20);
+        let setup = MatcherSetup { platform, streaming: true, ..Default::default() };
         let reg = MatcherRegistry::with_defaults(&setup);
         let r = reg.get("ld-gpu").unwrap().run(&g).unwrap();
         assert_eq!(r.matching.verify(&g), Ok(()));

@@ -86,12 +86,15 @@ impl DynConfig {
         self
     }
 
-    /// Check every rule of the configuration. The front ends
+    /// Check every rule of the configuration and its platform
+    /// ([`Platform::validate`], the rules the static driver's config
+    /// checks too). The front ends
     /// ([`IncrementalMatcher`](crate::matcher::IncrementalMatcher) and
     /// `ldgm serve`) call this before building an engine;
     /// [`IncrementalLd::new`] stays infallible and runs a zero device
-    /// count on one device.
+    /// count, or a platform without devices, on one device.
     pub fn validate(&self) -> Result<(), MatchError> {
+        self.platform.validate().map_err(MatchError::InvalidConfig)?;
         if self.devices == 0 {
             return Err(MatchError::InvalidConfig("devices must be >= 1".to_string()));
         }
@@ -193,9 +196,10 @@ impl IncrementalLd {
     pub fn new(base: impl Into<Arc<CsrGraph>>, cfg: DynConfig) -> Self {
         let g = DynGraph::new(base).with_compact_frac(cfg.compact_frac);
         let n = g.num_vertices();
-        // Infallible by design: a zero count runs on one device. The front
-        // ends reject it first with `DynConfig::validate`.
-        let ndev = cfg.devices.clamp(1, cfg.platform.max_devices);
+        // Infallible by design: a zero count, or a platform without
+        // devices, runs on one device. The front ends reject both first
+        // with `DynConfig::validate`.
+        let ndev = cfg.devices.min(cfg.platform.max_devices).max(1);
         // The dynamic output exposes its timeline unconditionally, so the
         // runtime keeps the trace it records anyway.
         let rt = SimRuntime::new(&cfg.platform, ndev).with_trace(true);
@@ -905,6 +909,37 @@ mod tests {
         assert!(out.metrics.counter("comm.allreduce_calls") > 0);
         assert!(!out.trace.events.is_empty());
         out.matching.verify(&out.graph).unwrap();
+    }
+
+    /// The three platforms the static driver's config rejects: no
+    /// devices, no SMs, no warps per SM.
+    fn broken_platforms() -> [(Platform, &'static str); 3] {
+        let mut no_gpus = Platform::dgx_a100();
+        no_gpus.max_devices = 0;
+        let mut no_sms = Platform::dgx_a100();
+        no_sms.device.sm_count = 0;
+        let mut no_warps = Platform::dgx_a100();
+        no_warps.device.max_warps_per_sm = 0;
+        [(no_gpus, "no devices"), (no_sms, "no warp slots"), (no_warps, "no warp slots")]
+    }
+
+    #[test]
+    fn validate_rejects_platforms_without_warp_slots() {
+        for (platform, rule) in broken_platforms() {
+            match DynConfig::new(platform).validate() {
+                Err(MatchError::InvalidConfig(msg)) => assert!(msg.contains(rule), "{rule}: {msg}"),
+                other => panic!("{rule}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+        dgx1().validate().unwrap();
+    }
+
+    #[test]
+    fn new_runs_a_platform_without_devices_on_one_device() {
+        let [(no_gpus, _), ..] = broken_platforms();
+        let g = urand(80, 300, 8);
+        let engine = IncrementalLd::new(g.clone(), DynConfig::new(no_gpus).devices(2));
+        assert_eq!(engine.mate_array(), ld_seq(&g).mate_array());
     }
 
     #[test]

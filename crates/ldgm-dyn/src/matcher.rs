@@ -274,7 +274,6 @@ impl DynamicMatcherRegistry {
     /// The default engines — `"incremental"` and `"from-scratch"` — built
     /// from the shared matcher setup.
     pub fn with_defaults(setup: &MatcherSetup) -> Self {
-        let setup = setup.resolved();
         let mut r = DynamicMatcherRegistry::new();
         let cfg = DynConfig::new(setup.platform.clone())
             .devices(setup.devices)

@@ -208,6 +208,24 @@ impl Platform {
         }
     }
 
+    /// Check that the platform can run anything at all: it has a device,
+    /// and each device has a warp slot (an SM and a warp per SM). Both
+    /// engines' config validators run this; a failure is their
+    /// `InvalidConfig`, carrying this message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_devices == 0 {
+            return Err(format!("platform {} has no devices", self.name));
+        }
+        let spec = &self.device;
+        if spec.sm_count == 0 || spec.max_warps_per_sm == 0 {
+            return Err(format!(
+                "device {} has no warp slots ({} SMs x {} warps per SM)",
+                spec.name, spec.sm_count, spec.max_warps_per_sm
+            ));
+        }
+        Ok(())
+    }
+
     /// Override per-device memory (scaled-down experiments force batching
     /// by shrinking capacity instead of growing the graph).
     pub fn with_device_memory(mut self, bytes: u64) -> Self {
